@@ -19,13 +19,15 @@ FEM spectrum in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentOutOfStrip, QuadratureNotConverged
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_PANELS = (8, 16, 32, 64, 128, 256, 512)
+_BLOCK = 1 << 18  # cosine-grid entries per block in _phi_settled
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,6 @@ def plancherel_density(lam):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class PlancherelModel:
-    rho: float = 0.5
-    beta: object = field(default=plancherel_density)
-
-
 def mollifier_family(T: float, k: int = 1, quad_order: int = 32) -> TestFunction:
     return TestFunction(T=float(T), family="mollifier", k=int(k), quad_order=quad_order)
 
@@ -77,23 +73,29 @@ def _gauss_nodes(order):
     return x, w
 
 
+def _panel_grid(f: TestFunction, x, w, npanels: int):
+    """Nodes t and weighted transform values of the npanels-panel rule."""
+    edges = np.linspace(0.0, f.T, npanels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    t = (mid[:, None] + half * x[None, :]).ravel()
+    wt = np.broadcast_to(half * w[None, :], (npanels, x.size)).ravel()
+    return t, f.hat(t) * wt
+
+
 def _phi_many(f: TestFunction, lams: np.ndarray) -> np.ndarray:
     """phi at a batch of complex points by panel-doubling Gauss-Legendre.
 
     The integrand is smooth and flat at t = T, so doubling panels over
     [0, T] converges quickly; we stop when the refinement stops moving at
     1e-12 relative (a bit tighter than the 1e-10 contract, cheap here).
+    All points stop together, at the level where the worst one settles.
     """
     lams = np.asarray(lams)
     x, w = _gauss_nodes(f.quad_order)
     prev = None
-    for npanels in (8, 16, 32, 64, 128, 256, 512):
-        edges = np.linspace(0.0, f.T, npanels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        t = (mid[:, None] + half * x[None, :]).ravel()
-        wt = np.broadcast_to(half * w[None, :], (npanels, x.size)).ravel()
-        vals = f.hat(t) * wt
+    for npanels in _PANELS:
+        t, vals = _panel_grid(f, x, w, npanels)
         # cos(t*lam) for the whole (node, lam) grid at once
         core = np.cos(t[:, None] * lams[None, :])
         cur = (2.0 / _SQRT_2PI) * (vals[:, None] * core).sum(axis=0)
@@ -107,20 +109,67 @@ def _phi_many(f: TestFunction, lams: np.ndarray) -> np.ndarray:
     )
 
 
-def phi_at(f: TestFunction, lam) -> complex:
-    lam = complex(lam)
-    if abs(lam.imag) > 50.0 / f.T:
-        raise ArgumentOutOfStrip(
-            "|Im lambda| = %g exceeds strip bound %g" % (abs(lam.imag), 50.0 / f.T)
+def _phi_settled(f: TestFunction, pts: np.ndarray) -> np.ndarray:
+    """The panel-doubling rule of _phi_many, with each point leaving the
+    batch at the level where it settles on its own.
+
+    The cosine grid is laid out (points, nodes) and summed along axis 1,
+    which reduces each row exactly as a one-point batch of _phi_many
+    does, so every value is bit for bit that point's value alone.
+    Blocks of at most _BLOCK grid entries bound the temporaries.
+    """
+    x, w = _gauss_nodes(f.quad_order)
+    out = np.empty_like(pts)
+    active = np.arange(pts.size)
+    prev = None
+    for npanels in _PANELS:
+        if not active.size:
+            return out
+        t, vals = _panel_grid(f, x, w, npanels)
+        step = max(1, _BLOCK // t.size)
+        cur = np.empty(active.size, dtype=pts.dtype)
+        for i in range(0, active.size, step):
+            blk = pts[active[i : i + step]]
+            core = np.cos(t[None, :] * blk[:, None])
+            cur[i : i + step] = (2.0 / _SQRT_2PI) * (vals[None, :] * core).sum(axis=1)
+        if prev is not None:
+            done = np.abs(cur - prev) <= 1e-12 * np.maximum(np.abs(cur), 1e-300) + 1e-15
+            out[active[done]] = cur[done]
+            active, cur = active[~done], cur[~done]
+        prev = cur
+    if active.size:
+        raise QuadratureNotConverged(
+            "phi quadrature still moving after 512 panels (T=%g)" % f.T
         )
-    # keep the result exactly real on the real and imaginary axes
-    if lam.imag == 0.0:
-        return complex(_phi_many(f, np.array([lam.real]))[0])
-    if lam.real == 0.0:
-        # cos(i t y) = cosh(t y), a real integrand
-        val = _phi_many(f, np.array([lam]))[0]
-        return complex(val.real)
-    return complex(_phi_many(f, np.array([lam]))[0])
+    return out
+
+
+def phi_values(f: TestFunction, lams) -> np.ndarray:
+    """phi at every point of `lams`, as a complex array of the same shape.
+
+    Each value is exactly what the point would get on its own.  On the
+    real axis it is computed in real arithmetic and is exactly real; on
+    the imaginary axis cos(i t y) = cosh(t y) is real, so only the real
+    part is kept.  One point outside the strip |Im lambda| <= 50/T
+    rejects the whole batch.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    bound = 50.0 / f.T
+    height = np.abs(lams.imag)
+    if np.any(height > bound):
+        raise ArgumentOutOfStrip(
+            "|Im lambda| = %g exceeds strip bound %g" % (height.max(), bound)
+        )
+    out = np.empty_like(lams)
+    real = lams.imag == 0.0
+    out[real] = _phi_settled(f, lams.real[real])
+    out[~real] = _phi_settled(f, lams[~real])
+    out.imag[lams.real == 0.0] = 0.0
+    return out
+
+
+def phi_at(f: TestFunction, lam) -> complex:
+    return complex(phi_values(f, lam))
 
 
 def identity_term(f: TestFunction, d: int, vol: float, diagnostics=None) -> float:

@@ -176,12 +176,10 @@ def axis_foot(m: np.ndarray):
     """
     u, v = axis_endpoints(m)
     mid = u + v
-    gap = np.abs(np.conj(u) * v)  # == 1; angle is what matters
     cosg = np.clip(np.real(np.conj(u) * v), -1.0, 1.0)
     theta = 0.5 * np.arccos(cosg)  # half the angular separation, in (0, pi/2]
     r = np.tan(np.pi / 4.0 - theta / 2.0)
     phase = np.where(np.abs(mid) > 1e-14, mid / np.where(np.abs(mid) > 1e-14, np.abs(mid), 1.0), 1.0 + 0j)
-    del gap
     return r * phase
 
 

@@ -1,8 +1,8 @@
 """Spectral side of the trace identity and eigenvalue counting.
 
 The sum is Sigma m(lam) * phi(sqrt(lam - rho^2)) over computed clusters,
-principal branch; phi is even so the branch cannot matter and we assert
-that it does not.
+principal branch; phi is even so the branch cannot matter, and a sum that
+moves when every root flips sign is an error.
 
 Truncation policy: the natural test would be that phi at the spectral
 edge is already below 1e-8 of the partial sum.  At the eigenvalue counts
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import TestFunction, phi_at
-from ..errors import TruncationNotJustified
+from ..analysis import TestFunction, phi_at, phi_values
+from ..errors import TracebenchError, TruncationNotJustified
 
 _BOLZA_VOL = 4.0 * np.pi
 _BRANCH_EPS = 1e-12
@@ -37,7 +37,7 @@ def _weyl_tail(f: TestFunction, r_max: float, d: int, vol: float) -> float:
     """
     span = 40.0 / f.T + 10.0
     rs = np.linspace(r_max, r_max + span, 2001)
-    vals = np.abs(np.array([phi_at(f, r) for r in rs]))
+    vals = np.abs(phi_values(f, rs))
     dens = d * vol / (4.0 * np.pi) * 2.0 * rs
     return float(np.trapezoid(vals * dens, rs))
 
@@ -48,10 +48,16 @@ def spectral_side(spec, f: TestFunction, rho: float = 0.5,
     mults = np.array([m for _, m, _ in spec.eigenvalues])
 
     roots = np.sqrt(lams - rho * rho)  # principal branch
-    total = complex(sum(m * phi_at(f, r) for m, r in zip(mults, roots)))
-    flipped = complex(sum(m * phi_at(f, -r) for m, r in zip(mults, roots)))
-    assert abs(total - flipped) <= _BRANCH_EPS * (1.0 + abs(total)), \
-        "phi must be even in its argument"
+    # both branches in one batch; the sums run left to right over Python
+    # complex values, the order and types of a point-by-point loop
+    phis = phi_values(f, np.concatenate([roots, -roots])).tolist()
+    total = complex(sum(m * v for m, v in zip(mults, phis[:roots.size])))
+    flipped = complex(sum(m * v for m, v in zip(mults, phis[roots.size:])))
+    if abs(total - flipped) > _BRANCH_EPS * (1.0 + abs(total)):
+        raise TracebenchError(
+            "phi must be even in its argument: the branch flip moves the "
+            "spectral sum from %r to %r" % (total, flipped)
+        )
 
     lam_max = float(np.abs(lams).max())
     r_max = float(np.sqrt(max(lam_max - rho * rho, 0.0)))

@@ -65,7 +65,7 @@ def run_verify(cfg: ExperimentConfig, classes=None, spectrum=None) -> TraceRepor
         f = TestFunction(T=tf.T, k=tf.k, family=tf.family)
         diag: dict = {}
         s = spectral_side(spectrum, f, diagnostics=diag)
-        rep = geometric_side(g, classes, r, f)
+        rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
         gval = rep.total
         abs_res = abs(s - gval)
         entries.append({

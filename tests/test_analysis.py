@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from tracebench.analysis import (
-    PlancherelModel,
     TestFunction,
+    _phi_many,
     fourier_roundtrip,
     identity_term,
     mollifier_family,
     phi_at,
+    phi_values,
     plancherel_density,
 )
 from tracebench.errors import ArgumentOutOfStrip, QuadratureNotConverged
@@ -100,15 +101,46 @@ def test_strip_guard():
     phi_at(f, 1.0 + 24.9j)
 
 
+def _one_point(f, lam):
+    """phi at lam as a one-point batch of _phi_many, real on both axes."""
+    lam = complex(lam)
+    if lam.imag == 0.0:
+        return complex(_phi_many(f, np.array([lam.real]))[0])
+    val = _phi_many(f, np.array([lam]))[0]
+    return complex(val.real) if lam.real == 0.0 else complex(val)
+
+
+def test_phi_values_bitwise_equal_to_single_points():
+    f = mollifier_family(4.0, 2)
+    # roots sqrt(lam - 1/4) of a mixed spectrum and their negatives: real
+    # roots (those of the flipped branch have imaginary part -0.0),
+    # imaginary-axis roots (lam = 0 gives i/2) and complex roots.  Most
+    # settle at 16 panels; 40+2j needs 32 and 80+2j needs 64, so a batch
+    # that stopped all points together would change their bits.
+    lams = np.array([0.0, 0.1, 0.25, 3.85, 420.0,
+                     3.9 + 0.2j, 3.9 - 0.2j, 60.0 + 1.5j, 0.3 - 5.0j])
+    roots = np.sqrt(lams - 0.25)
+    extra = [complex(1.5, -0.0), 7.25, -3.0j, 40.0 + 2.0j, 80.0 + 2.0j]
+    pts = np.concatenate([roots, -roots, extra])
+    got = phi_values(f, pts)
+    assert got.shape == pts.shape and got.dtype == complex
+    for lam, val in zip(pts, got):
+        want = _one_point(f, lam)
+        assert val == want, lam
+        if lam.imag == 0.0 or lam.real == 0.0:
+            assert val.imag == 0.0, lam
+    assert phi_at(f, 0.5j) == complex(got[np.flatnonzero(pts == 0.5j)[0]])
+    # one point beyond the strip rejects the whole batch
+    with pytest.raises(ArgumentOutOfStrip):
+        phi_values(f, np.append(pts, 1.0 + 13.0j))
+
+
 def test_plancherel_density_basics():
     assert plancherel_density(0.0) == 0.0
     lam = np.linspace(-8, 8, 41)
     vals = plancherel_density(lam)
     assert np.all(vals >= 0)
     assert np.allclose(vals, plancherel_density(-lam))
-    model = PlancherelModel()
-    assert model.rho == 0.5
-    assert model.beta(1.3) == plancherel_density(1.3)
 
 
 def test_identity_term_frozen_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tracebench.analysis import TestFunction, phi_at
-from tracebench.errors import TruncationNotJustified
+from tracebench.errors import TracebenchError, TruncationNotJustified
 from tracebench.geomside import geometric_side
 from tracebench.reps import character_rep
 from tracebench.spectral.assemble import assemble
@@ -48,6 +48,33 @@ def test_branch_flip_is_immaterial():
         for lam, m, _ in spec.eigenvalues
     )
     assert abs(total - flipped) <= 1e-12 * (1 + abs(total))
+
+
+def test_spectral_side_equals_point_by_point_sum():
+    # the sum over a batch of phi values must reproduce, bit for bit, the
+    # left-to-right sum of one phi_at call per root
+    spec = _spec([
+        (0j, 1, 0.0), (0.1 + 0j, 1, 0.0), (0.25 + 0j, 2, 0.0),
+        (3.9 + 0.2j, 2, 0.0), (3.9 - 0.2j, 2, 0.0), (17.5 + 0j, 3, 0.0),
+        (60.0 + 1.5j, 1, 0.0), (421.3 + 0j, 1, 0.0),
+    ])
+    lams = np.array([lam for lam, _, _ in spec.eigenvalues])
+    mults = np.array([m for _, m, _ in spec.eigenvalues])
+    roots = np.sqrt(lams - 0.25)
+    want = complex(sum(m * phi_at(F42, r) for m, r in zip(mults, roots)))
+    assert spectral_side(spec, F42) == want
+
+
+def test_odd_phi_is_an_error_not_an_assert(monkeypatch):
+    # phi(-r) = -phi(r) makes the branch flip move the sum; the check must
+    # raise even under python -O, which strips asserts
+    import tracebench.spectral.side as side
+
+    monkeypatch.setattr(side, "phi_values",
+                        lambda f, lams: np.asarray(lams, dtype=complex))
+    spec = _spec([(0j, 1, 0.0), (3.9 + 0.2j, 2, 0.0), (420.0 + 0j, 1, 0.0)])
+    with pytest.raises(TracebenchError, match="even"):
+        spectral_side(spec, F42)
 
 
 def test_shallow_spectrum_rejected():

@@ -239,6 +239,30 @@ def test_rank2_trivial_residual_matches_rank1(classes_L6, tmp_path):
                - 2 * rep1.entries[0]["geometric_re"]) <= 1e-12
 
 
+def test_verify_and_geomside_agree_on_window(group, tmp_path):
+    # the classes below L_max 4.5 all have the systole's length 3.057, so
+    # the window reaches T = 4.2 only when the cutoff itself is used
+    from tracebench.fuchsian import enumerate_classes
+    from tracebench.spectral.solve import SpectrumResult
+    from tracebench.workbench.verify import run_verify
+
+    conf = str(tmp_path / "window.ini")
+    with open(conf, "w") as fh:
+        fh.write("[run]\nL_max = 4.5\n\n[test_function.w]\nT = 4.2\nk = 2\n")
+    out = str(tmp_path / "window")
+    r = _run(["--config", conf, "--out", out, "geomside"])
+    assert r.returncode == 0, r.stderr
+    geo = json.load(open(os.path.join(out, "geomside.json")))["w"]
+
+    cfg = ExperimentConfig(L_max=4.5, out_dir=out,
+                           test_functions=(TestFunctionSpec("w", 4.2, 2),))
+    spec = SpectrumResult(eigenvalues=((0j, 1, 0.0), (420.0 + 0j, 1, 0.0)),
+                          mesh_h=0.1, cluster_tol=1e-6, d=1)
+    report = run_verify(cfg, classes=enumerate_classes(group, 4.5),
+                        spectrum=spec)
+    assert report.entries[0]["window_complete"] is geo["window_complete"] is True
+
+
 def test_cli_weyl_window(cli_conf, tmp_path):
     conf, _ = cli_conf
     out = str(tmp_path / "weyl")
