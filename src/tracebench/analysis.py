@@ -64,10 +64,6 @@ def plancherel_density(lam):
     return out if out.ndim else float(out)
 
 
-def mollifier_family(T: float, k: int = 1, quad_order: int = 32) -> TestFunction:
-    return TestFunction(T=float(T), family="mollifier", k=int(k), quad_order=quad_order)
-
-
 def _gauss_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w

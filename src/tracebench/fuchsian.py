@@ -28,7 +28,7 @@ alone would be unsound in a one-relator group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,10 +52,8 @@ Word = tuple  # of signed generator indices in {+-1..+-4}
 
 # octagon constants (regular, all interior angles pi/4)
 #   cosh(circumradius) = cot(pi/8)^2 = 3 + 2 sqrt(2)
-#   cosh(inradius)     = cot(pi/8)   = 1 + sqrt(2)
 COT_PI_8 = 1.0 + np.sqrt(2.0)
 CIRCUMRADIUS = float(np.arccosh(COT_PI_8**2))
-INRADIUS = float(np.arccosh(COT_PI_8))
 
 # side-pairing letters --> presentation letters (see module docstring)
 _SIDE_TO_PRES = {
@@ -190,11 +188,9 @@ class ConjugacyClass:
     rep_matrix: np.ndarray
     trace: float
     length: float
-    primitive_word: Word
     primitive_length: float
     power: int
     discriminant: float
-    key: tuple = field(repr=False, default=())
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +344,6 @@ def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.
     return conj[best], key, int(best)
 
 
-_BALL_CACHE: dict = {}
-
-
-def _cached_ball(g: SurfaceGroup, r_keep: float, r_prune: float, budget: int):
-    ck = (g.pairings.tobytes(), round(r_keep, 6), round(r_prune, 6))
-    hit = _BALL_CACHE.get(ck)
-    if hit is None:
-        hit = _bfs_ball(g.pairings, r_keep, r_prune, budget)
-        _BALL_CACHE.clear()   # keep at most one ball around; they are large
-        _BALL_CACHE[ck] = hit
-    return hit
-
-
 def _matrix_root(m: np.ndarray, k: int) -> np.ndarray:
     """k-th root of a hyperbolic element inside PSL(2,R)."""
     m = np.asarray(m, float)
@@ -385,7 +368,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
     R = g.circumradius
     r_keep = L_max + 2.0 * R + 0.5
     r_prune = r_keep + R
-    mats, disp, parent, letter, kept = _cached_ball(g, r_keep, r_prune, budget)
+    mats, disp, parent, letter, kept = _bfs_ball(g.pairings, r_keep, r_prune, budget)
 
     tr_all = np.abs(trace(mats))
     max_tr = 2.0 * np.cosh(L_max / 2.0)
@@ -436,19 +419,17 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
         if not dup:
             merged.append((key, (cmat, w)))
 
-    # assemble ConjugacyClass records with primitive decomposition
-    recs = []
-    for key, (cmat, w) in merged:
-        tr = float(trace(cmat))
-        ell = hyperbolic_length(cmat)
-        recs.append([w, cmat, tr, ell, key])
+    # assemble ConjugacyClass records; the power is the largest k whose
+    # k-th root lands on an enumerated class of length ell / k
+    recs = [(w, cmat, float(trace(cmat)), hyperbolic_length(cmat))
+            for _, (cmat, w) in merged]
     recs.sort(key=lambda r: r[3])
 
     out = []
     lengths = np.array([r[3] for r in recs])
     systole = lengths.min()
-    for w, cmat, tr, ell, key in recs:
-        power, prim_word = 1, w
+    for w, cmat, tr, ell in recs:
+        power = 1
         kmax = int(np.floor(ell / systole + 1e-9))
         for k in range(kmax, 1, -1):
             l0 = ell / k
@@ -457,14 +438,9 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
                 continue
             root = _matrix_root(cmat, k)
             rpull, _ = _pull_axes(root[None], g.pairings)
-            rcan, rkey, _ = _canonical_from_pulled(rpull[0], delta, delta_inv)
-            hit = None
-            for j in near:
-                if psl_close(rcan, recs[j][1], 1e-6):
-                    hit = j
-                    break
-            if hit is not None:
-                power, prim_word = k, recs[hit][0]
+            rcan, _, _ = _canonical_from_pulled(rpull[0], delta, delta_inv)
+            if any(psl_close(rcan, recs[j][1], 1e-6) for j in near):
+                power = k
                 break
         out.append(
             ConjugacyClass(
@@ -472,11 +448,9 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
                 rep_matrix=cmat,
                 trace=tr,
                 length=ell,
-                primitive_word=prim_word,
                 primitive_length=ell / power,
                 power=power,
                 discriminant=float(2.0 * np.sinh(ell / 2.0)),
-                key=key,
             )
         )
 
@@ -488,35 +462,3 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
         if not psl_close(ev, c.rep_matrix, 1e-7 * (1.0 + np.max(np.abs(c.rep_matrix)))):
             raise AssertionError("class word does not reproduce its matrix")
     return out
-
-
-def primitive_decomposition(g: SurfaceGroup, c: ConjugacyClass, classes) -> tuple:
-    """(primitive_word, k) with c = (primitive class)^k; k = 1 if no root verifies."""
-    lengths = np.array([x.length for x in classes]) if classes else np.array([])
-    if lengths.size == 0:
-        return c.rep_word, 1
-    systole = lengths.min()
-    kmax = int(np.floor(c.length / systole + 1e-9))
-    if kmax < 2:
-        return c.rep_word, 1
-
-    R = g.circumradius
-    d_rad = c.length / 2.0 + 2.0 * R + 0.7
-    mats, disp, _parent, _letter, _kept = _cached_ball(
-        g, d_rad, c.length + 3.0 * R + 0.5, 6_000_000
-    )
-    delta = mats[disp <= d_rad]
-    delta_inv = mat_inv(delta)
-
-    for k in range(kmax, 1, -1):
-        l0 = c.length / k
-        near = [x for x in classes if abs(x.length - l0) <= 1e-7 * (1.0 + l0)]
-        if not near:
-            continue
-        root = _matrix_root(c.rep_matrix, k)
-        rpull, _ = _pull_axes(root[None], g.pairings)
-        rcan, _rkey, _ = _canonical_from_pulled(rpull[0], delta, delta_inv)
-        for x in near:
-            if psl_close(rcan, x.rep_matrix, 1e-6):
-                return x.rep_word, k
-    return c.rep_word, 1

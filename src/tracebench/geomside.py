@@ -14,20 +14,31 @@ end-to-end against the FEM spectrum in the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import TestFunction, identity_term
-from .fuchsian import SurfaceGroup, serialize_word
+from .fuchsian import SurfaceGroup
 from .reps import Representation, trace_on_class
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
+class ClassTerm(NamedTuple):
+    """One class inside the window of phihat, as the CLI writes it."""
+
+    length: float
+    primitive_length: float
+    power: int
+    trace_chi: complex
+    contribution: complex
+
+
 @dataclass(frozen=True)
 class GeometricSideReport:
     identity_term: float
-    class_contributions: tuple  # ((word key, complex contribution), ...)
+    class_contributions: tuple  # ClassTerm per class with length <= T, fold order
     total: complex
     L_used: float
     exactness_flag: bool
@@ -38,14 +49,13 @@ def geometric_side(
     classes,
     r: Representation,
     f: TestFunction,
-    L_max: float | None = None,
+    L_max: float,
 ) -> GeometricSideReport:
     """Assemble the class-sum side of the identity.
 
-    `L_max` is the enumeration cutoff the classes came from; when omitted
-    it is taken as the longest class present, which understates coverage
-    for an empty list.  The report is advisory (exactness_flag False)
-    whenever the cutoff does not reach the support radius of phihat.
+    `L_max` is the enumeration cutoff the classes came from.  The report
+    is advisory (exactness_flag False) whenever the cutoff does not reach
+    the support radius of phihat.
     """
     ident = identity_term(f, r.dim, g.covolume)
     contribs = []
@@ -54,15 +64,13 @@ def geometric_side(
         if c.length > f.T:
             continue  # phihat vanishes from T on; keep the report small
         weight = c.primitive_length / c.discriminant * f.hat(c.length) / _SQRT_2PI
-        val = complex(trace_on_class(r, c)) * weight
-        contribs.append((serialize_word(c.rep_word), val))
+        ch = complex(trace_on_class(r, c))
+        val = ch * weight
+        contribs.append(ClassTerm(c.length, c.primitive_length, c.power, ch, val))
         class_sum += val
     # total must reproduce identity_term + sum(contributions) bit for bit
     total = ident + class_sum
-    if L_max is None:
-        L_used = max((c.length for c in classes), default=0.0)
-    else:
-        L_used = float(L_max)
+    L_used = float(L_max)
     return GeometricSideReport(
         identity_term=ident,
         class_contributions=tuple(contribs),

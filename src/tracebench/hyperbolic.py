@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DET_TOL = 1e-12
 SIGN_EPS = 1e-12  # threshold for "first nonzero entry" in sign canonicalization
-
-IDENTITY = np.eye(2)
 
 
 def renormalize(m: np.ndarray) -> np.ndarray:
@@ -50,10 +47,6 @@ def canonical_sign(m: np.ndarray) -> np.ndarray:
     first = np.argmax(big, axis=-1)
     lead = np.take_along_axis(flat, first[..., None], axis=-1)[..., 0]
     return m * np.sign(lead)[..., None, None]
-
-
-def psl_canon(m: np.ndarray) -> np.ndarray:
-    return canonical_sign(renormalize(m))
 
 
 def mat_prod(*ms: np.ndarray) -> np.ndarray:

@@ -4,10 +4,8 @@ Keep this module free of numpy imports at the top level: the BLAS
 thread pinning in main() only works if it happens before numpy first
 loads, so the compute modules are imported lazily per subcommand.
 
-Reproducibility: by default BLAS is pinned to one thread no matter what
---threads says, which is what makes reruns byte-identical; --threads is
-honored for the linear algebra only together with --parallel-blas, and
-then determinism across thread counts is no longer promised.
+Reproducibility: BLAS is always pinned to one thread, which is what
+makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ _BLAS_VARS = (
 _LENGTHS_CSV = "lengths.csv"
 
 
-def _pin_threads(threads: int, parallel_blas: bool) -> None:
-    n = str(threads if parallel_blas else 1)
+def _pin_threads() -> None:
     for var in _BLAS_VARS:
-        os.environ[var] = n
+        os.environ[var] = "1"
 
 
 def _load(args):
@@ -65,15 +62,13 @@ def _classes_from_rows(g, rows):
     for length_s, trace_s, power_s, plen_s, word_s in rows:
         w = parse_word(word_s)
         length = float(length_s)
-        power = int(power_s)
         out.append(ConjugacyClass(
             rep_word=w,
             rep_matrix=evaluate_word(g, w),
             trace=float(trace_s),
             length=length,
-            primitive_word=w[: len(w) // power],
             primitive_length=float(plen_s),
-            power=power,
+            power=int(power_s),
             discriminant=float(2.0 * np.sinh(length / 2.0)),
         ))
     return out
@@ -90,13 +85,12 @@ def _lengths_cache_fields(cfg):
     }
 
 
-def _ensure_classes(cfg, refresh: bool, no_compute: bool = False):
+def _ensure_classes(cfg, g, refresh: bool, no_compute: bool = False):
     """Return (classes, csv_path), honoring the cache contract."""
-    from ..errors import CacheMismatch, IncompleteLengthSpectrum
-    from ..fuchsian import bolza_preset, enumerate_classes
+    from ..errors import IncompleteLengthSpectrum
+    from ..fuchsian import enumerate_classes
     from . import io
 
-    g = bolza_preset()
     path = os.path.join(cfg.out_dir, _LENGTHS_CSV)
     expect = _lengths_cache_fields(cfg)
     if not refresh:
@@ -119,28 +113,20 @@ def _ensure_classes(cfg, refresh: bool, no_compute: bool = False):
     return classes, path
 
 
-def _solve_spectrum(cfg):
-    from ..fuchsian import bolza_preset
-    from ..spectral import assemble, build_octagon_mesh, solve_spectrum
-    from .verify import build_representation
-
-    g = bolza_preset()
-    r = build_representation(cfg)
-    mesh = build_octagon_mesh(cfg.level, g)
-    system = assemble(mesh, r)
-    return solve_spectrum(system, cfg.count, cfg.shift)
-
-
 def cmd_enumerate(cfg, args) -> int:
-    _, path = _ensure_classes(cfg, args.refresh)
+    from ..fuchsian import bolza_preset
+
+    _, path = _ensure_classes(cfg, bolza_preset(), args.refresh)
     print("length spectrum at %s" % path)
     return 0
 
 
 def cmd_spectrum(cfg, args) -> int:
+    from ..fuchsian import bolza_preset
     from . import io
+    from .verify import build_representation, build_spectrum
 
-    spec = _solve_spectrum(cfg)
+    spec = build_spectrum(cfg, bolza_preset(), build_representation(cfg))
     path = os.path.join(cfg.out_dir, "spectrum.csv")
     rows = [
         (lam.real, lam.imag, m, res) for lam, m, res in spec.eigenvalues
@@ -159,30 +145,23 @@ def cmd_spectrum(cfg, args) -> int:
 
 def cmd_geomside(cfg, args) -> int:
     from ..analysis import TestFunction
-    from ..fuchsian import bolza_preset, serialize_word
+    from ..fuchsian import bolza_preset
     from ..geomside import geometric_side
-    from ..reps import trace_on_class
     from . import io
     from .verify import build_representation
 
-    classes, _ = _ensure_classes(cfg, args.refresh, args.no_compute)
     g = bolza_preset()
+    classes, _ = _ensure_classes(cfg, g, args.refresh, args.no_compute)
     r = build_representation(cfg)
     summary = {}
     for tf in cfg.test_functions:
         f = TestFunction(T=tf.T, k=tf.k, family=tf.family)
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
-        by_word = dict(rep.class_contributions)
-        rows = []
-        for c in classes:
-            if c.length > f.T:
-                continue
-            ch = complex(trace_on_class(r, c))
-            contrib = by_word[serialize_word(c.rep_word)]
-            rows.append((
-                c.length, c.primitive_length, c.power,
-                ch.real, ch.imag, contrib.real, contrib.imag,
-            ))
+        rows = [
+            (t.length, t.primitive_length, t.power, t.trace_chi.real,
+             t.trace_chi.imag, t.contribution.real, t.contribution.imag)
+            for t in rep.class_contributions
+        ]
         path = os.path.join(cfg.out_dir, "geomside_%s.csv" % tf.name)
         io.write_csv(
             path,
@@ -209,10 +188,12 @@ def cmd_geomside(cfg, args) -> int:
 def cmd_weyl(cfg, args) -> int:
     import numpy as np
 
+    from ..fuchsian import bolza_preset
     from ..spectral import weyl_counting
     from . import io
+    from .verify import build_representation, build_spectrum
 
-    spec = _solve_spectrum(cfg)
+    spec = build_spectrum(cfg, bolza_preset(), build_representation(cfg))
     lam_top = max(abs(lam) for lam, _, _ in spec.eigenvalues)
     trusted = lam_top / 3.0
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
@@ -233,12 +214,17 @@ def cmd_weyl(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
+    from ..fuchsian import bolza_preset
     from . import io
-    from .verify import format_table, run_verify
+    from .verify import (
+        build_representation, build_spectrum, format_table, run_verify,
+    )
 
-    classes, _ = _ensure_classes(cfg, args.refresh)
-    spec = _solve_spectrum(cfg)
-    report = run_verify(cfg, classes=classes, spectrum=spec)
+    g = bolza_preset()
+    classes, _ = _ensure_classes(cfg, g, args.refresh)
+    r = build_representation(cfg)
+    spec = build_spectrum(cfg, g, r)
+    report = run_verify(cfg, g, r, classes, spec)
     path = os.path.join(cfg.out_dir, "verify.json")
     io.write_json(path, report.as_dict())
     io.write_meta(path, {"kind": "verify", "preset": cfg.preset})
@@ -254,9 +240,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="INI experiment config")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--parallel-blas", action="store_true",
-                        help="let BLAS use --threads (loses determinism)")
     parser.add_argument("--refresh", action="store_true",
                         help="rebuild caches even when present or corrupt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,7 +252,7 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="confront both sides, emit TraceReport")
 
     args = parser.parse_args(argv)
-    _pin_threads(args.threads, args.parallel_blas)
+    _pin_threads()
 
     from ..errors import TracebenchError, ValidationError
 

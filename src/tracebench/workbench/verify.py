@@ -8,9 +8,9 @@ import numpy as np
 
 from .. import __version__
 from ..analysis import TestFunction
-from ..fuchsian import bolza_preset, enumerate_classes
+from ..fuchsian import SurfaceGroup
 from ..geomside import geometric_side
-from ..reps import character_rep, rep_from_json
+from ..reps import Representation, character_rep, rep_from_json
 from ..spectral import assemble, build_octagon_mesh, solve_spectrum, spectral_side
 from .config import ExperimentConfig
 
@@ -43,18 +43,18 @@ def build_representation(cfg: ExperimentConfig):
         return rep_from_json(json.load(fh))
 
 
-def run_verify(cfg: ExperimentConfig, classes=None, spectrum=None) -> TraceReport:
-    """The full pipeline.  `classes` / `spectrum` can be passed in when a
-    caller already has them (the CLI reuses cached enumerations)."""
-    g = bolza_preset()
-    r = build_representation(cfg)
-    if classes is None:
-        classes = enumerate_classes(g, cfg.L_max, budget=cfg.budget)
-    if spectrum is None:
-        mesh = build_octagon_mesh(cfg.level, g)
-        system = assemble(mesh, r)
-        spectrum = solve_spectrum(system, cfg.count, cfg.shift)
+def build_spectrum(cfg: ExperimentConfig, g: SurfaceGroup, r: Representation):
+    """Mesh, assemble and solve: the twisted spectrum of a configured run."""
+    mesh = build_octagon_mesh(cfg.level, g)
+    return solve_spectrum(assemble(mesh, r), cfg.count, cfg.shift)
 
+
+def run_verify(
+    cfg: ExperimentConfig, g: SurfaceGroup, r: Representation, classes, spectrum
+) -> TraceReport:
+    """Confront the spectral side of `spectrum` with the geometric side of
+    `classes` (enumerated up to cfg.L_max) for every configured test
+    function."""
     lams = np.array([lam for lam, _, _ in spectrum.eigenvalues])
     spectrum_real = bool(
         np.all(np.abs(lams.imag) <= 1e-8 * (1.0 + np.abs(lams)))

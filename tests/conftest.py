@@ -27,6 +27,12 @@ def classes_L6(group):
     return enumerate_classes(group, 6.0)
 
 
+@pytest.fixture(scope="session")
+def classes_L62(group):
+    # just past twice the systole: the first power-2 classes appear
+    return enumerate_classes(group, 6.2)
+
+
 @pytest.fixture()
 def rng():
     # fresh generator per test so draws do not depend on execution order

@@ -7,6 +7,7 @@ module fixtures, so the whole file runs in a few minutes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_criterion_1_trace_residual_trivial(group, classes_L6, spec900, timings)
     rels = []
     for f in _fns():
         s = spectral_side(spec900, f)
-        g = geometric_side(group, classes_L6, r, f)
+        g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
     elapsed = timings["trivial"] + (time.time() - t0)
     line = "criterion 1: rel residuals " + ", ".join(
@@ -104,7 +105,7 @@ def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
     rels, im_fracs = [], []
     for f in _fns():
         s = spectral_side(spec_e03, f)
-        g = geometric_side(group, classes_L6, r, f)
+        g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
         im_fracs.append(abs(s.imag) / abs(s))
     line = (
@@ -126,7 +127,7 @@ def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
     rels = []
     for f in _fns():
         s = spectral_side(spec_unit, f)
-        g = geometric_side(group, classes_L6, r, f)
+        g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
     line = "criterion 3: worst |Im|/(1+|lam|)=%.1e, rel " % worst + ", ".join(
         "%.2e" % q for q in rels
@@ -206,13 +207,7 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
         for _ in range(3):
             h = tuple(int(x) for x in rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], 3))
             w = free_reduce(h + c.rep_word + word_inverse(h))
-            conj = type(c)(
-                rep_word=w, rep_matrix=evaluate_word(group, w),
-                trace=c.trace, length=c.length,
-                primitive_word=c.primitive_word,
-                primitive_length=c.primitive_length,
-                power=c.power, discriminant=c.discriminant,
-            )
+            conj = replace(c, rep_word=w, rep_matrix=evaluate_word(group, w))
             dev = max(dev, abs(trace_on_class(r2, conj) - base2))
             dev = max(dev, abs(trace_on_class(rc, conj) - basec))
     checks["conj_trace"] = (dev, 1e-10)
@@ -236,7 +231,7 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
 
     # (d) geometric-side representative independence
     f = TestFunction(T=4.0, k=2)
-    base = geometric_side(group, classes_L6, rc, f).total
+    base = geometric_side(group, classes_L6, rc, f, L_max=6.0).total
     moved = []
     for c in classes_L6:
         if c.length > f.T:
@@ -244,15 +239,9 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
             continue
         h = tuple(int(x) for x in rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], 2))
         w = free_reduce(h + c.rep_word + word_inverse(h))
-        moved.append(type(c)(
-            rep_word=w, rep_matrix=evaluate_word(group, w),
-            trace=c.trace, length=c.length,
-            primitive_word=c.primitive_word,
-            primitive_length=c.primitive_length,
-            power=c.power, discriminant=c.discriminant,
-        ))
+        moved.append(replace(c, rep_word=w, rep_matrix=evaluate_word(group, w)))
     checks["rep_independence"] = (
-        abs(geometric_side(group, moved, rc, f).total - base), 1e-10,
+        abs(geometric_side(group, moved, rc, f, L_max=6.0).total - base), 1e-10,
     )
 
     # (e) Fourier round-trip
@@ -287,12 +276,12 @@ def test_criterion_8_convergence(group, classes_L6, spec900):
         flat = np.sort(_flat(spec).real)
         lams[level] = flat[1:6]
         s = spectral_side(spec, f)
-        g = geometric_side(group, classes_L6, r, f)
+        g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels[level] = abs(s - g.total) / abs(g.total)
     flat5 = np.sort(_flat(spec900).real)
     lams[5] = flat5[1:6]
     s5 = spectral_side(spec900, f)
-    g5 = geometric_side(group, classes_L6, r, f)
+    g5 = geometric_side(group, classes_L6, r, f, L_max=6.0)
     rels[5] = abs(s5 - g5.total) / abs(g5.total)
 
     # observed order on the quintuple of smallest positive eigenvalues;

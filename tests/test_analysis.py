@@ -14,7 +14,6 @@ from tracebench.analysis import (
     _phi_many,
     fourier_roundtrip,
     identity_term,
-    mollifier_family,
     phi_at,
     phi_values,
     plancherel_density,
@@ -33,16 +32,16 @@ def _oracle_phi(T, k, lams):
 
 
 def test_mollifier_shape():
-    f = mollifier_family(2.0, 2)
+    f = TestFunction(T=2.0, k=2)
     assert f.hat(2.0) == 0.0
     assert f.hat(-2.0) == 0.0
     assert f.hat(5.0) == 0.0
     assert f.hat(0.0) == pytest.approx(np.exp(-2.0), rel=1e-15)
     assert f.hat(0.6) == f.hat(-0.6)
     with pytest.raises(ValueError):
-        mollifier_family(-1.0, 2)
+        TestFunction(T=-1.0, k=2)
     with pytest.raises(ValueError):
-        mollifier_family(2.0, 0)
+        TestFunction(T=2.0, k=0)
     with pytest.raises(ValueError):
         TestFunction(T=2.0, family="sinc")
 
@@ -50,14 +49,14 @@ def test_mollifier_shape():
 def test_phi_matches_oracle():
     lams = np.linspace(0.0, 6.0, 13)
     for T, k in ((2.0, 1), (4.0, 2)):
-        f = mollifier_family(T, k)
+        f = TestFunction(T=T, k=k)
         want = _oracle_phi(T, k, lams)
         got = np.array([phi_at(f, x).real for x in lams])
         assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_phi_even_complex(rng):
-    f = mollifier_family(2.0, 2)
+    f = TestFunction(T=2.0, k=2)
     for _ in range(100):
         lam = complex(rng.uniform(-5, 5), rng.uniform(-20, 20))
         assert abs(phi_at(f, lam) - phi_at(f, -lam)) <= 1e-12 * max(
@@ -66,7 +65,7 @@ def test_phi_even_complex(rng):
 
 
 def test_phi_real_on_axes(rng):
-    f = mollifier_family(2.0, 2)
+    f = TestFunction(T=2.0, k=2)
     for _ in range(20):
         v = phi_at(f, rng.uniform(-4, 4))
         assert abs(v.imag) <= 1e-12 * abs(v) + 1e-300
@@ -76,14 +75,14 @@ def test_phi_real_on_axes(rng):
 
 
 def test_phi_peak_at_zero():
-    f = mollifier_family(2.0, 1)
+    f = TestFunction(T=2.0, k=1)
     p0 = phi_at(f, 0.0).real
     for x in np.linspace(0.05, 8.0, 40):
         assert abs(phi_at(f, x)) <= p0 + 1e-15
 
 
 def test_paley_wiener_bound():
-    f = mollifier_family(2.0, 2)
+    f = TestFunction(T=2.0, k=2)
     t = np.linspace(0, f.T, 4001)
     hat_l1 = 2 * np.trapezoid(f.hat(t), t)
     rng = np.random.default_rng(3)
@@ -94,7 +93,7 @@ def test_paley_wiener_bound():
 
 
 def test_strip_guard():
-    f = mollifier_family(2.0, 2)
+    f = TestFunction(T=2.0, k=2)
     with pytest.raises(ArgumentOutOfStrip):
         phi_at(f, 1.0 + 26.0j)
     # right at the boundary is fine
@@ -111,7 +110,7 @@ def _one_point(f, lam):
 
 
 def test_phi_values_bitwise_equal_to_single_points():
-    f = mollifier_family(4.0, 2)
+    f = TestFunction(T=4.0, k=2)
     # roots sqrt(lam - 1/4) of a mixed spectrum and their negatives: real
     # roots (those of the flipped branch have imaginary part -0.0),
     # imaginary-axis roots (lam = 0 gives i/2) and complex roots.  Most
@@ -146,19 +145,19 @@ def test_plancherel_density_basics():
 def test_identity_term_frozen_values():
     vol = 4 * np.pi
     # values pinned from two independent quadratures agreeing to ~1e-10
-    assert identity_term(mollifier_family(2, 2), 1, vol) == pytest.approx(
+    assert identity_term(TestFunction(T=2.0, k=2), 1, vol) == pytest.approx(
         0.2917478748, abs=2e-9
     )
-    assert identity_term(mollifier_family(4, 2), 1, vol) == pytest.approx(
+    assert identity_term(TestFunction(T=4.0, k=2), 1, vol) == pytest.approx(
         0.1348439029, abs=2e-9
     )
-    assert identity_term(mollifier_family(2, 1), 1, vol) == pytest.approx(
+    assert identity_term(TestFunction(T=2.0, k=1), 1, vol) == pytest.approx(
         0.596514428, abs=3e-8
     )
 
 
 def test_identity_term_linearity():
-    f = mollifier_family(2, 2)
+    f = TestFunction(T=2.0, k=2)
     base = identity_term(f, 1, 4 * np.pi)
     assert identity_term(f, 3, 4 * np.pi) == pytest.approx(3 * base, rel=1e-13)
     assert identity_term(f, 1, 8 * np.pi) == pytest.approx(2 * base, rel=1e-13)
@@ -170,7 +169,7 @@ def test_identity_term_linearity():
 
 def test_identity_term_oracle_and_diagnostics():
     T, k = 2.0, 2
-    f = mollifier_family(T, k)
+    f = TestFunction(T=T, k=k)
     lam = np.linspace(0, 200, 100001)
     phis = np.empty_like(lam)
     for i in range(0, lam.size, 1000):
@@ -184,8 +183,8 @@ def test_identity_term_oracle_and_diagnostics():
 
 
 def test_fourier_roundtrip():
-    assert fourier_roundtrip(mollifier_family(2, 1)) <= 1e-8
-    assert fourier_roundtrip(mollifier_family(4, 2)) <= 1e-8
+    assert fourier_roundtrip(TestFunction(T=2.0, k=1)) <= 1e-8
+    assert fourier_roundtrip(TestFunction(T=4.0, k=2)) <= 1e-8
 
 
 def test_fourier_roundtrip_zero_function():

@@ -26,7 +26,6 @@ from tracebench.fuchsian import (
     free_reduce,
     hyperbolic_length,
     parse_word,
-    primitive_decomposition,
     serialize_word,
     word_inverse,
 )
@@ -39,6 +38,7 @@ from tracebench.hyperbolic import (
     renormalize,
     trace,
 )
+from tracebench.reps import CharacterPoint, character_rep, trace_on_class
 
 # --- closed-form octagon constants, derived here from scratch ---
 # regular hyperbolic octagon with vertex angle 2*pi/8: the right triangle
@@ -125,27 +125,35 @@ def test_classes_sorted_and_consistent(classes_L6, group):
         assert c.discriminant == pytest.approx(2 * np.sinh(c.length / 2), rel=1e-12)
 
 
-def test_power_detection(group):
-    classes = enumerate_classes(group, 6.2)
-    squares = [c for c in classes if c.power == 2]
-    assert len(squares) == 24
+def _match_multisets(a, b, tol):
+    """True if the complex values a and b agree pairwise within tol."""
+    rest = list(b)
+    for x in a:
+        j = int(np.argmin([abs(x - y) for y in rest]))
+        if abs(x - rest[j]) > tol:
+            return False
+        rest.pop(j)
+    return not rest
+
+
+def test_power_detection(classes_L62):
+    squares = [c for c in classes_L62 if c.power == 2]
+    systoles = [c for c in classes_L62 if c.power == 1
+                and c.length == pytest.approx(_SYSTOLE, abs=1e-8)]
+    assert len(squares) == len(systoles) == 24
     for c in squares:
         assert c.length == pytest.approx(2 * _SYSTOLE, abs=1e-8)
         assert c.primitive_length == pytest.approx(_SYSTOLE, abs=1e-8)
-        doubled = c.primitive_word + c.primitive_word
-        img = evaluate_word(group, free_reduce(doubled))
-        assert psl_close(img, c.rep_matrix, 1e-7)
-
-
-def test_primitive_decomposition_op(group, classes_L6):
-    classes62 = enumerate_classes(group, 6.2)
-    sq = next(c for c in classes62 if c.power == 2)
-    word, k = primitive_decomposition(group, sq, classes62)
-    assert k == 2
-    assert free_reduce(word) == sq.primitive_word
-    prim = next(c for c in classes62 if c.power == 1)
-    word, k = primitive_decomposition(group, prim, classes62)
-    assert k == 1 and free_reduce(word) == prim.rep_word
+    # a class function, not lengths: under a generic non-unitary
+    # character the squares are exactly the systole classes squared,
+    # chi(p^2) = chi(p)^2, so the two multisets of values coincide
+    chi = character_rep(CharacterPoint((1.3 * np.exp(0.4j), 0.8, 1, 1)))
+    got = [complex(trace_on_class(chi, c)) for c in squares]
+    want = [complex(trace_on_class(chi, p)) ** 2 for p in systoles]
+    assert _match_multisets(got, want, 1e-12)
+    # the character is generic enough to tell a square from its root
+    roots = [complex(trace_on_class(chi, p)) for p in systoles]
+    assert not _match_multisets(got, roots, 1e-12)
 
 
 def test_cutoff_guard(group):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tracebench.analysis import identity_term, mollifier_family
+from tracebench.analysis import TestFunction, identity_term
 from tracebench.fuchsian import enumerate_classes, free_reduce, word_inverse
 from tracebench.geomside import geometric_side
 from tracebench.reps import (
@@ -19,7 +19,7 @@ TRIV = character_rep(CharacterPoint((1, 1, 1, 1)))
 
 
 def test_empty_sum_below_systole(group):
-    f = mollifier_family(2.9, 2)
+    f = TestFunction(T=2.9, k=2)
     classes = enumerate_classes(group, 3.5)
     rep = geometric_side(group, classes, TRIV, f, L_max=3.5)
     assert rep.class_contributions == ()
@@ -29,15 +29,15 @@ def test_empty_sum_below_systole(group):
 
 
 def test_total_is_exact_fold(group, classes_L6):
-    f = mollifier_family(5.9, 2)
+    f = TestFunction(T=5.9, k=2)
     rep = geometric_side(group, classes_L6, TRIV, f, L_max=6.0)
     assert len(rep.class_contributions) == 96
-    resummed = rep.identity_term + sum(v for _, v in rep.class_contributions)
+    resummed = rep.identity_term + sum(t.contribution for t in rep.class_contributions)
     assert rep.total == resummed  # bit-for-bit, fixed fold order
 
 
 def test_support_filter(group, classes_L6):
-    f = mollifier_family(4.0, 2)
+    f = TestFunction(T=4.0, k=2)
     rep = geometric_side(group, classes_L6, TRIV, f, L_max=6.0)
     # only the systole shell fits under T = 4
     assert len(rep.class_contributions) == 24
@@ -45,7 +45,7 @@ def test_support_filter(group, classes_L6):
 
 
 def test_rank_d_linearity(group, classes_L6):
-    f = mollifier_family(4.0, 2)
+    f = TestFunction(T=4.0, k=2)
     r3 = from_generator_images([np.eye(3)] * 4)
     a = geometric_side(group, classes_L6, TRIV, f, L_max=6.0)
     b = geometric_side(group, classes_L6, r3, f, L_max=6.0)
@@ -56,7 +56,7 @@ def test_rank_d_linearity(group, classes_L6):
 def test_inverse_character_pairing(group, classes_L6):
     # swapping z -> 1/z exchanges each class with its inverse class, and
     # the length spectrum is inverse-closed, so the totals must agree
-    f = mollifier_family(5.9, 2)
+    f = TestFunction(T=5.9, k=2)
     a = geometric_side(
         group, classes_L6, character_rep(CharacterPoint((2, 1, 1, 1))), f, 6.0
     )
@@ -67,7 +67,7 @@ def test_inverse_character_pairing(group, classes_L6):
 
 
 def test_representative_independence(group, classes_L6, rng):
-    f = mollifier_family(5.9, 2)
+    f = TestFunction(T=5.9, k=2)
     r = from_generator_images(group.generators)
     base = geometric_side(group, classes_L6, r, f, L_max=6.0)
     alphabet = [1, -1, 2, -2, 3, -3, 4, -4]
@@ -82,41 +82,36 @@ def test_representative_independence(group, classes_L6, rng):
 
 
 def test_unitary_character_total_is_real(group, classes_L6):
-    f = mollifier_family(5.9, 2)
+    f = TestFunction(T=5.9, k=2)
     r = character_rep(CharacterPoint((np.exp(0.9j), 1, 1, 1)))
     rep = geometric_side(group, classes_L6, r, f, L_max=6.0)
     assert abs(rep.total.imag) <= 1e-10 * (1 + abs(rep.total))
 
 
 def test_conjugation_symmetry(group, classes_L6):
-    f = mollifier_family(5.9, 2)
+    f = TestFunction(T=5.9, k=2)
     r = character_rep(CharacterPoint((np.exp(0.3 + 0.4j), 0.9 + 0.2j, 1, 1)))
     a = geometric_side(group, classes_L6, r, f, L_max=6.0)
     b = geometric_side(group, classes_L6, conjugate_rep(r), f, L_max=6.0)
     assert b.total == pytest.approx(np.conj(a.total), abs=1e-12 * (1 + abs(a.total)))
 
 
-def test_truncation_exactness(group, classes_L6):
+def test_truncation_exactness(group, classes_L6, classes_L62):
     # once the cutoff covers the support of phihat, more classes change
     # nothing at all
-    f = mollifier_family(4.0, 2)
-    wider = enumerate_classes(group, 6.2)
+    f = TestFunction(T=4.0, k=2)
     a = geometric_side(group, classes_L6, TRIV, f, L_max=6.0)
-    b = geometric_side(group, wider, TRIV, f, L_max=6.2)
+    b = geometric_side(group, classes_L62, TRIV, f, L_max=6.2)
     assert a.total == b.total
     assert a.class_contributions == b.class_contributions
 
 
 def test_incomplete_spectrum_is_flagged(group):
-    f = mollifier_family(5.5, 2)
+    f = TestFunction(T=5.5, k=2)
     short = enumerate_classes(group, 4.0)
     rep = geometric_side(group, short, TRIV, f, L_max=4.0)
     assert not rep.exactness_flag
-    assert rep.L_used == 4.0
-    # without the cutoff hint the longest class stands in for it
-    rep2 = geometric_side(group, short, TRIV, f)
-    assert rep2.L_used == pytest.approx(short[-1].length)
-    assert not rep2.exactness_flag
+    assert rep.L_used == 4.0  # the cutoff, not the longest class (3.057)
 
 
 def test_discriminant_closed_form(classes_L6):

@@ -121,11 +121,11 @@ def test_trace_identity_closes_at_level4(group, classes_L6):
     r = character_rep((1, 1, 1, 1))
     spec = solve_spectrum(assemble(build_octagon_mesh(4, group), r), 250)
     s = spectral_side(spec, F42)
-    rep = geometric_side(group, classes_L6, r, F42)
+    rep = geometric_side(group, classes_L6, r, F42, L_max=6.0)
     assert abs(s - rep.total) / abs(rep.total) < 0.03
     # and the narrow window isolates the identity term
     f2 = TestFunction(T=2.0, k=2)
     s2 = spectral_side(spec, f2)
-    rep2 = geometric_side(group, classes_L6, r, f2)
+    rep2 = geometric_side(group, classes_L6, r, f2, L_max=6.0)
     assert rep2.class_contributions == ()
     assert abs(s2 - rep2.total) / abs(rep2.total) < 0.03

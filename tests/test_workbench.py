@@ -173,13 +173,11 @@ def test_cli_empty_window_has_valid_header(cli_conf, tmp_path):
     assert lines == ["length,trace,power,primitive_length,word"]
 
 
-def test_cli_spectrum_deterministic_across_threads(cli_conf, tmp_path):
+def test_cli_spectrum_rerun_byte_identity(cli_conf, tmp_path):
     conf, _ = cli_conf
-    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t4")
-    assert _run(["--config", conf, "--out", out1, "--threads", "1",
-                 "spectrum"]).returncode == 0
-    assert _run(["--config", conf, "--out", out2, "--threads", "4",
-                 "spectrum"]).returncode == 0
+    out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
+    assert _run(["--config", conf, "--out", out1, "spectrum"]).returncode == 0
+    assert _run(["--config", conf, "--out", out2, "spectrum"]).returncode == 0
     a = open(os.path.join(out1, "spectrum.csv"), "rb").read()
     b = open(os.path.join(out2, "spectrum.csv"), "rb").read()
     assert a == b
@@ -213,10 +211,20 @@ def test_cli_verify_report_and_exit_codes(cli_conf, tmp_path):
     assert r.returncode == 4
 
 
-def test_rank2_trivial_residual_matches_rank1(classes_L6, tmp_path):
+def _verify(cfg, group, classes):
+    from tracebench.workbench.verify import (
+        build_representation,
+        build_spectrum,
+        run_verify,
+    )
+
+    r = build_representation(cfg)
+    return run_verify(cfg, group, r, classes, build_spectrum(cfg, group, r))
+
+
+def test_rank2_trivial_residual_matches_rank1(group, classes_L6, tmp_path):
     # both sides of the identity scale by the fiber dimension, so the
     # relative residual must not move
-    from tracebench.workbench.verify import run_verify
 
     rep_path = str(tmp_path / "rep2.json")
     eye_flat = [[1, 0], [0, 0], [0, 0], [1, 0]]
@@ -229,8 +237,8 @@ def test_rank2_trivial_residual_matches_rank1(classes_L6, tmp_path):
     cfg2 = ExperimentConfig(level=3, count=80, test_functions=tf,
                             rep_kind="file", rep_path=rep_path,
                             out_dir=str(tmp_path))
-    rep1 = run_verify(cfg1, classes=classes_L6)
-    rep2 = run_verify(cfg2, classes=classes_L6)
+    rep1 = _verify(cfg1, group, classes_L6)
+    rep2 = _verify(cfg2, group, classes_L6)
     r1 = rep1.entries[0]["rel_residual"]
     r2 = rep2.entries[0]["rel_residual"]
     assert rep2.provenance["rep_dim"] == 2
@@ -244,7 +252,7 @@ def test_verify_and_geomside_agree_on_window(group, tmp_path):
     # the window reaches T = 4.2 only when the cutoff itself is used
     from tracebench.fuchsian import enumerate_classes
     from tracebench.spectral.solve import SpectrumResult
-    from tracebench.workbench.verify import run_verify
+    from tracebench.workbench.verify import build_representation, run_verify
 
     conf = str(tmp_path / "window.ini")
     with open(conf, "w") as fh:
@@ -258,9 +266,34 @@ def test_verify_and_geomside_agree_on_window(group, tmp_path):
                            test_functions=(TestFunctionSpec("w", 4.2, 2),))
     spec = SpectrumResult(eigenvalues=((0j, 1, 0.0), (420.0 + 0j, 1, 0.0)),
                           mesh_h=0.1, cluster_tol=1e-6, d=1)
-    report = run_verify(cfg, classes=enumerate_classes(group, 4.5),
-                        spectrum=spec)
+    report = run_verify(cfg, group, build_representation(cfg),
+                        enumerate_classes(group, 4.5), spec)
     assert report.entries[0]["window_complete"] is geo["window_complete"] is True
+
+
+def test_lengths_cache_roundtrip_is_field_for_field(group, classes_L62, tmp_path):
+    # what geomside reads back from lengths.csv must be the classes that
+    # enumerate wrote; L_max 6.2 includes the power-2 classes
+    from dataclasses import fields
+
+    from tracebench.fuchsian import ConjugacyClass
+    from tracebench.hyperbolic import psl_close
+    from tracebench.workbench.cli import _class_rows, _classes_from_rows
+
+    assert any(c.power == 2 for c in classes_L62)
+    path = str(tmp_path / "lengths.csv")
+    wio.write_csv(path, ("length", "trace", "power", "primitive_length", "word"),
+                  _class_rows(classes_L62))
+    _, rows = wio.read_csv(path)
+    cached = _classes_from_rows(group, rows)
+    assert len(cached) == len(classes_L62)
+    for fresh, back in zip(classes_L62, cached):
+        for fld in fields(ConjugacyClass):
+            a, b = getattr(fresh, fld.name), getattr(back, fld.name)
+            if fld.name == "rep_matrix":
+                assert psl_close(a, b, 1e-7 * (1.0 + np.max(np.abs(a))))
+            else:
+                assert a == b, fld.name
 
 
 def test_cli_weyl_window(cli_conf, tmp_path):
