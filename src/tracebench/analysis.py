@@ -28,6 +28,7 @@ from .errors import ArgumentOutOfStrip, QuadratureNotConverged
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _PANELS = (8, 16, 32, 64, 128, 256, 512)
 _BLOCK = 1 << 18  # cosine-grid entries per block in _phi_settled
+_QUAD_ORDER = 32  # Gauss-Legendre nodes per panel of the phi rule
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,11 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
 
     T: float  # support radius of the transform, geodesic-length units
-    family: str = "mollifier"
     k: int = 1
-    quad_order: int = 32
 
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("support radius T must be positive")
-        if self.family != "mollifier":
-            raise ValueError("unknown test-function family %r" % self.family)
         if self.k < 1:
             raise ValueError("mollifier exponent k must be >= 1")
 
@@ -88,7 +85,7 @@ def _phi_many(f: TestFunction, lams: np.ndarray) -> np.ndarray:
     All points stop together, at the level where the worst one settles.
     """
     lams = np.asarray(lams)
-    x, w = _gauss_nodes(f.quad_order)
+    x, w = _gauss_nodes(_QUAD_ORDER)
     prev = None
     for npanels in _PANELS:
         t, vals = _panel_grid(f, x, w, npanels)
@@ -114,7 +111,7 @@ def _phi_settled(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     does, so every value is bit for bit that point's value alone.
     Blocks of at most _BLOCK grid entries bound the temporaries.
     """
-    x, w = _gauss_nodes(f.quad_order)
+    x, w = _gauss_nodes(_QUAD_ORDER)
     out = np.empty_like(pts)
     active = np.arange(pts.size)
     prev = None

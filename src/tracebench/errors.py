@@ -1,18 +1,19 @@
 """Exception hierarchy shared by all tracebench modules.
 
-Every error carries an ``exit_code`` so the CLI can map failures onto its
-documented exit codes: 2 for validation problems (bad input, bad config,
-violated preconditions), 3 for numerical failures (solver or quadrature
-did not converge, truncation not justified).
+The CLI maps failures onto its documented exit codes by class:
+ValidationError (and ValueError) exits 2 for validation problems (bad
+input, bad config, violated preconditions); any other TracebenchError
+exits 3 for numerical failures (solver or quadrature did not converge,
+truncation not justified, a class word off its matrix).
 """
 
 
 class TracebenchError(Exception):
-    exit_code = 3
+    pass
 
 
 class ValidationError(TracebenchError):
-    exit_code = 2
+    pass
 
 
 # -- validation-type errors (exit code 2) --
@@ -73,3 +74,15 @@ class ShiftTooCloseToEigenvalue(TracebenchError):
 
 class TruncationNotJustified(TracebenchError):
     """Spectral sum cut off before the test function decayed enough."""
+
+
+class ClassWordMismatch(TracebenchError):
+    """A class's representative word does not evaluate to its matrix."""
+
+    def __init__(self, deviation: float, tol: float):
+        super().__init__(
+            "class word evaluates %.3e away from its matrix, tolerance %.3e"
+            % (deviation, tol)
+        )
+        self.deviation = deviation
+        self.tol = tol

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooLarge, NotHyperbolic
+from .errors import ClassWordMismatch, CutoffTooLarge, NotHyperbolic
 from .hyperbolic import (
     axis_dist_to_origin,
     axis_foot,
@@ -64,6 +64,12 @@ _SIDE_TO_PRES = {
 }
 
 RELATOR: Word = (1, 2, -1, -2, 3, 4, -3, -4)
+
+# Largest accepted length cutoff.  Past it, float64 word evaluation no
+# longer reproduces every class matrix: the class of trace 18 + 14 sqrt(2)
+# (length 7.2632) evaluates 3.8e-5 off against a tolerance of 3.3e-6.
+# Exact word arithmetic in Z[zeta8] (ROADMAP item 2) is what lifts it.
+L_MAX_CAP = 7.25
 
 # Absolute rounding cell for matrix-entry hashing.  Distinct elements in the
 # balls we enumerate are separated by >> 1e-4 in max norm (the separation
@@ -108,11 +114,8 @@ def parse_word(s: str) -> Word:
 class SurfaceGroup:
     """Genus-2 surface group with explicit octagon side pairings."""
 
-    genus: int
     generators: np.ndarray      # (4, 2, 2) images of a1, b1, a2, b2
-    relator: Word
     covolume: float
-    tol: float
     pairings: np.ndarray        # (8, 2, 2) side pairings, g_{k+4} = g_k^{-1}
     pairing_words: tuple        # presentation word of each pairing
     circumradius: float
@@ -123,7 +126,7 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def bolza_preset(tol: float = 1e-10) -> SurfaceGroup:
+def bolza_preset() -> SurfaceGroup:
     m = np.arccosh(COT_PI_8)
     T = np.array([[np.exp(m), 0.0], [0.0, np.exp(-m)]])
     pair = np.empty((8, 2, 2))
@@ -146,19 +149,16 @@ def bolza_preset(tol: float = 1e-10) -> SurfaceGroup:
     gens = np.stack([a1, b1, a2, b2])
 
     g = SurfaceGroup(
-        genus=2,
         generators=gens,
-        relator=RELATOR,
         covolume=float(4.0 * np.pi),
-        tol=tol,
         pairings=pair,
         pairing_words=pairing_words,
         circumradius=CIRCUMRADIUS,
     )
     resid = np.max(np.abs(evaluate_word(g, RELATOR) - np.eye(2)))
     resid = min(resid, np.max(np.abs(evaluate_word(g, RELATOR) + np.eye(2))))
-    if resid > tol:
-        raise AssertionError("octagon group relator residual %.3e > %.1e" % (resid, tol))
+    if resid > 1e-10:
+        raise AssertionError("octagon group relator residual %.3e > 1e-10" % resid)
     # the pairing words must reproduce the pairing matrices exactly
     for k in range(8):
         if not psl_close(evaluate_word(g, pairing_words[k]), pair[k], 1e-9):
@@ -173,13 +173,6 @@ def evaluate_word(g: SurfaceGroup, w: Word) -> np.ndarray:
         m = g.generators[abs(l) - 1]
         out = renormalize(out @ (m if l > 0 else mat_inv(m)))
     return canonical_sign(out)
-
-
-def hyperbolic_length(m: np.ndarray) -> float:
-    t = abs(float(trace(m)))
-    if t <= 2.0 + 1e-10:
-        raise NotHyperbolic("|trace| = %.12g is not > 2" % t)
-    return float(2.0 * np.arccosh(t / 2.0))
 
 
 @dataclass(frozen=True)
@@ -362,8 +355,11 @@ def _matrix_root(m: np.ndarray, k: int) -> np.ndarray:
 def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
     """One canonical representative per nontrivial conjugacy class with
     geodesic length <= L_max, sorted by (length, trace, word)."""
-    if not (0.0 < L_max <= 12.0):
-        raise ValueError("L_max must be in (0, 12], got %r" % L_max)
+    if not (0.0 < L_max <= L_MAX_CAP):
+        raise ValueError(
+            "L_max must be in (0, %g], got %r: longer cutoffs need exact "
+            "word arithmetic (ROADMAP item 2)" % (L_MAX_CAP, L_max)
+        )
 
     R = g.circumradius
     r_keep = L_max + 2.0 * R + 0.5
@@ -421,7 +417,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
 
     # assemble ConjugacyClass records; the power is the largest k whose
     # k-th root lands on an enumerated class of length ell / k
-    recs = [(w, cmat, float(trace(cmat)), hyperbolic_length(cmat))
+    recs = [(w, cmat, float(trace(cmat)), float(translation_length(cmat)))
             for _, (cmat, w) in merged]
     recs.sort(key=lambda r: r[3])
 
@@ -459,6 +455,9 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
     # internal consistency: the stored word must evaluate to the stored matrix
     for c in out:
         ev = evaluate_word(g, c.rep_word)
-        if not psl_close(ev, c.rep_matrix, 1e-7 * (1.0 + np.max(np.abs(c.rep_matrix)))):
-            raise AssertionError("class word does not reproduce its matrix")
+        tol = float(1e-7 * (1.0 + np.max(np.abs(c.rep_matrix))))
+        dev = float(min(np.max(np.abs(ev - c.rep_matrix)),
+                        np.max(np.abs(ev + c.rep_matrix))))
+        if not dev <= tol:
+            raise ClassWordMismatch(dev, tol)
     return out

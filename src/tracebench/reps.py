@@ -25,7 +25,6 @@ _COND_CEIL = 1e12
 class Representation:
     dim: int
     images: np.ndarray  # (4, d, d) complex
-    tol: float
     relator_residual: float
 
     def __post_init__(self):
@@ -84,13 +83,13 @@ def from_generator_images(images, tol: float = 1e-8) -> Representation:
         if abs(np.linalg.det(m)) < _DET_FLOOR:
             raise SingularImage("generator image is numerically singular")
     arr = np.stack(mats)
-    rep = Representation(dim=d, images=arr, tol=float(tol), relator_residual=0.0)
+    rep = Representation(dim=d, images=arr, relator_residual=0.0)
     residual = float(np.max(np.abs(_word_image(rep, RELATOR) - np.eye(d))))
     if residual > tol:
         raise RelatorViolation(
             "relator residual %.3e exceeds tol %.3e" % (residual, tol)
         )
-    return Representation(dim=d, images=arr, tol=float(tol), relator_residual=residual)
+    return Representation(dim=d, images=arr, relator_residual=residual)
 
 
 def character_rep(p: CharacterPoint) -> Representation:
@@ -98,7 +97,7 @@ def character_rep(p: CharacterPoint) -> Representation:
     images = np.array([[[z]] for z in p.z], dtype=complex)
     # commutators of scalars are identically 1, so the relator holds
     # exactly; skip the numerical check and record a zero residual
-    return Representation(dim=1, images=images, tol=1e-8, relator_residual=0.0)
+    return Representation(dim=1, images=images, relator_residual=0.0)
 
 
 def trace_on_class(r: Representation, c: ConjugacyClass) -> complex:
@@ -123,10 +122,7 @@ def unitarity_defect(r: Representation) -> float:
 
 def conjugate_rep(r: Representation) -> Representation:
     return Representation(
-        dim=r.dim,
-        images=r.images.conj(),
-        tol=r.tol,
-        relator_residual=r.relator_residual,
+        dim=r.dim, images=r.images.conj(), relator_residual=r.relator_residual
     )
 
 
@@ -139,15 +135,11 @@ def similar_rep(r: Representation, P) -> Representation:
         raise SingularImage("similarity transform condition %.3e too large" % cond)
     Pinv = np.linalg.inv(P)
     images = np.stack([P @ m @ Pinv for m in r.images])
-    rep = Representation(
-        dim=r.dim, images=images, tol=r.tol, relator_residual=0.0
-    )
+    rep = Representation(dim=r.dim, images=images, relator_residual=0.0)
     residual = float(
         np.max(np.abs(_word_image(rep, RELATOR) - np.eye(r.dim)))
     )
-    return Representation(
-        dim=r.dim, images=images, tol=r.tol, relator_residual=residual
-    )
+    return Representation(dim=r.dim, images=images, relator_residual=residual)
 
 
 def rep_from_json(obj) -> Representation:

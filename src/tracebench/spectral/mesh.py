@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MeshQualityFailure
-from ..fuchsian import SurfaceGroup, bolza_preset
+from ..fuchsian import SurfaceGroup
 from ..hyperbolic import disk_apply, geodesic_midpoint, hyp_dist
 
 _MIN_ANGLE_DEG = 15.0
@@ -32,14 +32,8 @@ class OctagonMesh:
     vertices: np.ndarray  # (V,) complex, Poincare disk coordinates
     triangles: np.ndarray  # (T, 3) int, positively oriented
     boundary_pairing: tuple  # ((gen index k, master nodes, slave nodes), ...)
-    refinement_level: int
     group: SurfaceGroup
     mesh_h: float  # max hyperbolic edge length
-
-    @property
-    def corner_indices(self):
-        # corners are created right after the center at level 0
-        return tuple(range(1, 9))
 
 
 def _check_quality(verts: np.ndarray, tris: np.ndarray):
@@ -60,10 +54,9 @@ def _check_quality(verts: np.ndarray, tris: np.ndarray):
         )
 
 
-def build_octagon_mesh(level: int, group: SurfaceGroup | None = None) -> OctagonMesh:
+def build_octagon_mesh(level: int, group: SurfaceGroup) -> OctagonMesh:
     if not (0 <= level <= 7):
         raise ValueError("refinement level must be in [0, 7], got %r" % level)
-    g = bolza_preset() if group is None else group
 
     corner_r = 2.0 ** (-0.25)
     verts = [0.0 + 0.0j]
@@ -84,7 +77,7 @@ def build_octagon_mesh(level: int, group: SurfaceGroup | None = None) -> Octagon
 
     for _ in range(level):
         verts, tris, master_lists, slave_lists = _refine(
-            g, verts, tris, master_lists, slave_lists
+            group, verts, tris, master_lists, slave_lists
         )
 
     varr = np.asarray(verts, dtype=complex)
@@ -102,7 +95,7 @@ def build_octagon_mesh(level: int, group: SurfaceGroup | None = None) -> Octagon
     # exactness of the correspondence is a construction invariant; verify
     # it anyway, cheap insurance against orientation bookkeeping bugs
     for k, master, slave in pairing:
-        img = disk_apply(g.pairings[k], varr[master])
+        img = disk_apply(group.pairings[k], varr[master])
         dist = np.max(hyp_dist(img, varr[slave]))
         if dist > 1e-10:
             raise MeshQualityFailure(
@@ -118,8 +111,7 @@ def build_octagon_mesh(level: int, group: SurfaceGroup | None = None) -> Octagon
         vertices=varr,
         triangles=tarr,
         boundary_pairing=pairing,
-        refinement_level=level,
-        group=g,
+        group=group,
         mesh_h=h,
     )
 

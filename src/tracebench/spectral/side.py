@@ -1,8 +1,9 @@
 """Spectral side of the trace identity and eigenvalue counting.
 
 The sum is Sigma m(lam) * phi(sqrt(lam - rho^2)) over computed clusters,
-principal branch; phi is even so the branch cannot matter, and a sum that
-moves when every root flips sign is an error.
+with rho = 1/2 for curvature -1, principal branch; phi is even so the
+branch cannot matter, and a sum that moves when every root flips sign is
+an error.
 
 Truncation policy: the natural test would be that phi at the spectral
 edge is already below 1e-8 of the partial sum.  At the eigenvalue counts
@@ -21,7 +22,7 @@ import numpy as np
 from ..analysis import TestFunction, phi_at, phi_values
 from ..errors import TracebenchError, TruncationNotJustified
 
-_BOLZA_VOL = 4.0 * np.pi
+_RHO = 0.5  # curvature -1
 _BRANCH_EPS = 1e-12
 _STRICT_EDGE = 1e-8
 _TAIL_BUDGET = 0.02
@@ -42,12 +43,13 @@ def _weyl_tail(f: TestFunction, r_max: float, d: int, vol: float) -> float:
     return float(np.trapezoid(vals * dens, rs))
 
 
-def spectral_side(spec, f: TestFunction, rho: float = 0.5,
+def spectral_side(spec, f: TestFunction, vol: float,
                   diagnostics: dict | None = None) -> complex:
+    """Sigma m * phi over `spec`; `vol` (the covolume) scales the tail."""
     lams = np.array([lam for lam, _, _ in spec.eigenvalues])
     mults = np.array([m for _, m, _ in spec.eigenvalues])
 
-    roots = np.sqrt(lams - rho * rho)  # principal branch
+    roots = np.sqrt(lams - _RHO * _RHO)  # principal branch
     # both branches in one batch; the sums run left to right over Python
     # complex values, the order and types of a point-by-point loop
     phis = phi_values(f, np.concatenate([roots, -roots])).tolist()
@@ -60,11 +62,11 @@ def spectral_side(spec, f: TestFunction, rho: float = 0.5,
         )
 
     lam_max = float(np.abs(lams).max())
-    r_max = float(np.sqrt(max(lam_max - rho * rho, 0.0)))
-    edge = abs(phi_at(f, np.sqrt(complex(lam_max - rho * rho))))
+    r_max = float(np.sqrt(max(lam_max - _RHO * _RHO, 0.0)))
+    edge = abs(phi_at(f, np.sqrt(complex(lam_max - _RHO * _RHO))))
     strict_ok = edge <= _STRICT_EDGE * abs(total)
 
-    tail = _weyl_tail(f, r_max, spec.d, _BOLZA_VOL)
+    tail = _weyl_tail(f, r_max, spec.d, vol)
     if diagnostics is not None:
         diagnostics.update(
             lambda_max=lam_max,
@@ -81,7 +83,7 @@ def spectral_side(spec, f: TestFunction, rho: float = 0.5,
     return total
 
 
-def weyl_counting(spec, r_values, vol: float = _BOLZA_VOL):
+def weyl_counting(spec, r_values, vol: float):
     """Counting function N(r) = Sigma m over |lam| <= r vs d*vol*r/(4pi).
 
     Only the lower third of the computed spectrum is trusted: above that

@@ -30,7 +30,6 @@ _DENSE_CUTOFF = 8000
 class SpectrumResult:
     eigenvalues: tuple  # ((lam, multiplicity, residual), ...) sorted by (Re, Im)
     mesh_h: float
-    cluster_tol: float
     d: int
 
     @property
@@ -149,6 +148,5 @@ def solve_spectrum(
     return SpectrumResult(
         eigenvalues=_cluster(vals, res),
         mesh_h=sys.mesh_h,
-        cluster_tol=_CLUSTER_BASE,
         d=sys.d,
     )

@@ -144,7 +144,6 @@ def cmd_spectrum(cfg, args) -> int:
 
 
 def cmd_geomside(cfg, args) -> int:
-    from ..analysis import TestFunction
     from ..fuchsian import bolza_preset
     from ..geomside import geometric_side
     from ..reps import trace_on_class
@@ -155,8 +154,7 @@ def cmd_geomside(cfg, args) -> int:
     classes, _ = _ensure_classes(cfg, g, args.refresh, args.no_compute)
     r = build_representation(cfg)
     summary = {}
-    for tf in cfg.test_functions:
-        f = TestFunction(T=tf.T, k=tf.k, family=tf.family)
+    for name, f in cfg.test_functions:
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
         # each row's tr chi is evaluated once more here, from its own class:
         # the benchmark's span accounting (perfbench/tests/test_spans.py)
@@ -169,15 +167,15 @@ def cmd_geomside(cfg, args) -> int:
                 t.length, t.primitive_length, t.power,
                 ch.real, ch.imag, t.contribution.real, t.contribution.imag,
             ))
-        path = os.path.join(cfg.out_dir, "geomside_%s.csv" % tf.name)
+        path = os.path.join(cfg.out_dir, "geomside_%s.csv" % name)
         io.write_csv(
             path,
             ("length", "primitive_length", "power",
              "re_trchi", "im_trchi", "re_contrib", "im_contrib"),
             rows,
         )
-        io.write_meta(path, {"kind": "geomside", "T": tf.T, "k": tf.k})
-        summary[tf.name] = {
+        io.write_meta(path, {"kind": "geomside", "T": f.T, "k": f.k})
+        summary[name] = {
             "identity_term": rep.identity_term,
             "total_re": rep.total.real,
             "total_im": rep.total.imag,
@@ -200,13 +198,14 @@ def cmd_weyl(cfg, args) -> int:
     from . import io
     from .verify import build_representation, build_spectrum
 
-    spec = build_spectrum(cfg, bolza_preset(), build_representation(cfg))
+    g = bolza_preset()
+    spec = build_spectrum(cfg, g, build_representation(cfg))
     lam_top = max(abs(lam) for lam, _, _ in spec.eigenvalues)
     trusted = lam_top / 3.0
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
     rows = [
         (r, n, pred, n / pred)
-        for r, n, pred in weyl_counting(spec, rs)
+        for r, n, pred in weyl_counting(spec, rs, g.covolume)
     ]
     path = os.path.join(cfg.out_dir, "weyl.csv")
     io.write_csv(path, ("r", "count", "prediction", "ratio"), rows)

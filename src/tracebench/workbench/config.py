@@ -2,9 +2,7 @@
 
 A small INI dialect: one [run] section for the numeric knobs, one
 [representation] section, and any number of [test_function.NAME]
-sections.  parse -> serialize -> parse is the identity on the
-dataclass, which is what makes reports reproducible from their echoed
-config.
+sections, each parsed straight into an `analysis.TestFunction`.
 """
 
 from __future__ import annotations
@@ -13,25 +11,16 @@ import configparser
 import os
 from dataclasses import dataclass
 
+from ..analysis import TestFunction
 from ..errors import ConfigError
+from ..fuchsian import L_MAX_CAP
 
 _PRESETS = ("bolza",)
 _REP_KINDS = ("character", "file")
-_FAMILIES = ("mollifier",)
 
 _RUN_KEYS = ("preset", "L_max", "level", "count", "shift", "threshold",
              "budget", "out_dir")
 _TF_PREFIX = "test_function."
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    __test__ = False  # pytest: not a test class
-
-    name: str
-    T: float
-    k: int = 1
-    family: str = "mollifier"
 
 
 @dataclass(frozen=True)
@@ -47,12 +36,12 @@ class ExperimentConfig:
     rep_kind: str = "character"
     rep_character: tuple = (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
     rep_path: str = ""
-    test_functions: tuple = (TestFunctionSpec("main", 4.0, 2),)
+    test_functions: tuple = (("main", TestFunction(T=4.0, k=2)),)  # (name, f)
 
     @property
     def advisory_short_window(self) -> bool:
         """True when some test function looks past the enumerated lengths."""
-        return self.L_max < max(tf.T for tf in self.test_functions)
+        return self.L_max < max(f.T for _, f in self.test_functions)
 
 
 def _complex_of(s: str, where: str) -> complex:
@@ -65,8 +54,11 @@ def _complex_of(s: str, where: str) -> complex:
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.preset not in _PRESETS:
         raise ConfigError("unknown preset %r" % cfg.preset)
-    if not 0.0 < cfg.L_max <= 12.0:
-        raise ConfigError("L_max must lie in (0, 12], got %g" % cfg.L_max)
+    if not 0.0 < cfg.L_max <= L_MAX_CAP:
+        raise ConfigError(
+            "L_max must lie in (0, %g], got %g: longer cutoffs need exact "
+            "word arithmetic (ROADMAP item 2)" % (L_MAX_CAP, cfg.L_max)
+        )
     if not 0 <= cfg.level <= 7:
         raise ConfigError("level must lie in [0, 7], got %d" % cfg.level)
     if cfg.count < 1:
@@ -84,14 +76,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("rep kind 'file' needs a path")
     if not cfg.test_functions:
         raise ConfigError("at least one [test_function.NAME] section required")
-    for tf in cfg.test_functions:
-        if tf.T <= 0:
-            raise ConfigError("test function %s: T must be positive" % tf.name)
-        if tf.k < 1:
-            raise ConfigError("test function %s: k must be >= 1" % tf.name)
-        if tf.family not in _FAMILIES:
-            raise ConfigError("test function %s: unknown family %r"
-                              % (tf.name, tf.family))
     return cfg
 
 
@@ -148,18 +132,15 @@ def parse_config(text: str) -> ExperimentConfig:
         name = section[len(_TF_PREFIX):]
         body = cp[section]
         for key in body:
-            if key not in ("T", "k", "family"):
+            if key not in ("T", "k"):
                 raise ConfigError("unknown key %r in [%s]" % (key, section))
         if "T" not in body:
             raise ConfigError("[%s] needs T" % section)
-        tfs.append(
-            TestFunctionSpec(
-                name=name,
-                T=float(body["T"]),
-                k=int(body.get("k", "1")),
-                family=body.get("family", "mollifier").strip(),
-            )
-        )
+        try:
+            f = TestFunction(T=float(body["T"]), k=int(body.get("k", "1")))
+        except ValueError as exc:
+            raise ConfigError("[%s]: %s" % (section, exc))
+        tfs.append((name, f))
     if tfs:
         kw["test_functions"] = tuple(tfs)
 
@@ -168,39 +149,6 @@ def parse_config(text: str) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad config value: %s" % exc)
     return validate(cfg)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        "[run]",
-        "preset = %s" % cfg.preset,
-        "L_max = %r" % cfg.L_max,
-        "level = %d" % cfg.level,
-        "count = %d" % cfg.count,
-        "shift = %r" % complex(cfg.shift),
-        "threshold = %r" % cfg.threshold,
-        "budget = %d" % cfg.budget,
-        "out_dir = %s" % cfg.out_dir,
-        "",
-        "[representation]",
-        "kind = %s" % cfg.rep_kind,
-    ]
-    if cfg.rep_kind == "character":
-        # builtin complex so numpy scalars round-trip through repr
-        lines.append(
-            "values = %s" % ", ".join(repr(complex(z)) for z in cfg.rep_character)
-        )
-    else:
-        lines.append("path = %s" % cfg.rep_path)
-    for tf in cfg.test_functions:
-        lines += [
-            "",
-            "[%s%s]" % (_TF_PREFIX, tf.name),
-            "T = %r" % tf.T,
-            "k = %d" % tf.k,
-            "family = %s" % tf.family,
-        ]
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path: str) -> ExperimentConfig:

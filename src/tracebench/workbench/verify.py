@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__
-from ..analysis import TestFunction
 from ..fuchsian import SurfaceGroup
 from ..geomside import geometric_side
 from ..reps import Representation, character_rep, rep_from_json
@@ -61,17 +60,16 @@ def run_verify(
     )
 
     entries = []
-    for tf in cfg.test_functions:
-        f = TestFunction(T=tf.T, k=tf.k, family=tf.family)
+    for name, f in cfg.test_functions:
         diag: dict = {}
-        s = spectral_side(spectrum, f, diagnostics=diag)
+        s = spectral_side(spectrum, f, g.covolume, diagnostics=diag)
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
         gval = rep.total
         abs_res = abs(s - gval)
         entries.append({
-            "name": tf.name,
-            "T": tf.T,
-            "k": tf.k,
+            "name": name,
+            "T": f.T,
+            "k": f.k,
             "spectral_re": float(s.real),
             "spectral_im": float(s.imag),
             "geometric_re": float(gval.real),

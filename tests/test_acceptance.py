@@ -85,7 +85,7 @@ def test_criterion_1_trace_residual_trivial(group, classes_L6, spec900, timings)
     t0 = time.time()
     rels = []
     for f in _fns():
-        s = spectral_side(spec900, f)
+        s = spectral_side(spec900, f, group.covolume)
         g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
     elapsed = timings["trivial"] + (time.time() - t0)
@@ -104,7 +104,7 @@ def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
     max_im = np.abs(lam.imag).max()
     rels, im_fracs = [], []
     for f in _fns():
-        s = spectral_side(spec_e03, f)
+        s = spectral_side(spec_e03, f, group.covolume)
         g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
         im_fracs.append(abs(s.imag) / abs(s))
@@ -126,7 +126,7 @@ def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
     worst = (np.abs(lam.imag) / (1 + np.abs(lam))).max()
     rels = []
     for f in _fns():
-        s = spectral_side(spec_unit, f)
+        s = spectral_side(spec_unit, f, group.covolume)
         g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels.append(abs(s - g.total) / abs(g.total))
     line = "criterion 3: worst |Im|/(1+|lam|)=%.1e, rel " % worst + ", ".join(
@@ -141,7 +141,9 @@ def test_criterion_4_weyl_law(group, spec900):
     lam_top = np.abs(_flat(spec900)).max()
     trusted = lam_top / 3.0
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
-    ratios = [n / pred for _, n, pred in weyl_counting(spec900, rs)]
+    ratios = [
+        n / pred for _, n, pred in weyl_counting(spec900, rs, group.covolume)
+    ]
     # fiber doubling, exact, on a coarser mesh
     mesh4 = build_octagon_mesh(4, group)
     s1 = solve_spectrum(assemble(mesh4, character_rep((1, 1, 1, 1))), 120)
@@ -153,7 +155,8 @@ def test_criterion_4_weyl_law(group, spec900):
     doubling = all(
         n2 == 2 * n1
         for (_, n1, _), (_, n2, _) in zip(
-            weyl_counting(s1, rs4), weyl_counting(s2, rs4)
+            weyl_counting(s1, rs4, group.covolume),
+            weyl_counting(s2, rs4, group.covolume),
         )
     )
     line = "criterion 4: ratios in [%.4f, %.4f] on window [%.0f, %.0f], doubling %s" % (
@@ -275,12 +278,12 @@ def test_criterion_8_convergence(group, classes_L6, spec900):
         )
         flat = np.sort(_flat(spec).real)
         lams[level] = flat[1:6]
-        s = spectral_side(spec, f)
+        s = spectral_side(spec, f, group.covolume)
         g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels[level] = abs(s - g.total) / abs(g.total)
     flat5 = np.sort(_flat(spec900).real)
     lams[5] = flat5[1:6]
-    s5 = spectral_side(spec900, f)
+    s5 = spectral_side(spec900, f, group.covolume)
     g5 = geometric_side(group, classes_L6, r, f, L_max=6.0)
     rels[5] = abs(s5 - g5.total) / abs(g5.total)
 

@@ -42,8 +42,6 @@ def test_mollifier_shape():
         TestFunction(T=-1.0, k=2)
     with pytest.raises(ValueError):
         TestFunction(T=2.0, k=0)
-    with pytest.raises(ValueError):
-        TestFunction(T=2.0, family="sinc")
 
 
 def test_phi_matches_oracle():
@@ -190,7 +188,6 @@ def test_fourier_roundtrip():
 def test_fourier_roundtrip_zero_function():
     class ZeroHat:
         T = 2.0
-        quad_order = 32
 
         def hat(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
@@ -202,7 +199,6 @@ def test_quadrature_guard_on_rough_integrand():
     class RoughHat:
         # aliasing noise that panel refinement can never settle
         T = 2.0
-        quad_order = 8
 
         def hat(self, t):
             t = np.asarray(t, dtype=float)

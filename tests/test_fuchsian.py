@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracebench.errors import CutoffTooLarge, NotHyperbolic
+from tracebench import fuchsian
+from tracebench.errors import ClassWordMismatch, CutoffTooLarge
 from tracebench.fuchsian import (
+    RELATOR,
     bolza_preset,
     enumerate_classes,
     evaluate_word,
     free_reduce,
-    hyperbolic_length,
     parse_word,
     serialize_word,
     word_inverse,
@@ -60,7 +61,6 @@ def test_octagon_trigonometry_oracle():
 
 
 def test_preset_basic_invariants(group):
-    assert group.genus == 2
     assert group.covolume == pytest.approx(4 * np.pi, rel=1e-15)
     assert group.circumradius == pytest.approx(np.arccosh(_COSH_R), rel=1e-14)
     assert group.generators.shape == (4, 2, 2)
@@ -75,8 +75,8 @@ def test_preset_basic_invariants(group):
 
 
 def test_relator_closes(group):
-    img = evaluate_word(group, group.relator)
-    assert np.max(np.abs(img - np.eye(2))) < group.tol * 10
+    img = evaluate_word(group, RELATOR)
+    assert np.max(np.abs(img - np.eye(2))) < 1e-9
 
 
 def test_pairing_words_reproduce_pairings(group):
@@ -163,16 +163,39 @@ def test_cutoff_guard(group):
         enumerate_classes(group, 13.0)
     with pytest.raises(ValueError):
         enumerate_classes(group, -1.0)
+    # past 7.25 float64 words miss their matrices; rejected up front
+    with pytest.raises(ValueError, match="exact word arithmetic"):
+        enumerate_classes(group, 7.5)
     with pytest.raises(CutoffTooLarge):
         enumerate_classes(group, 6.0, budget=1000)
 
 
-def test_hyperbolic_length_rejects_elliptic():
-    rot = np.array([[np.cos(0.3), np.sin(0.3)], [-np.sin(0.3), np.cos(0.3)]])
-    with pytest.raises(NotHyperbolic):
-        hyperbolic_length(rot)
-    with pytest.raises(NotHyperbolic):
-        hyperbolic_length(np.eye(2))
+def _perturbed_words(monkeypatch, eps=1e-4):
+    """Make every word evaluation land eps off its true matrix."""
+    exact = fuchsian.evaluate_word
+    monkeypatch.setattr(
+        fuchsian, "evaluate_word", lambda g, w: exact(g, w) + eps
+    )
+
+
+def test_word_check_raises_typed_error(group, monkeypatch):
+    _perturbed_words(monkeypatch)
+    with pytest.raises(ClassWordMismatch) as info:
+        enumerate_classes(group, 3.5)
+    assert info.value.deviation == pytest.approx(1e-4, rel=1e-6)
+    assert info.value.deviation > info.value.tol
+
+
+def test_word_check_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
+    from tracebench.workbench import cli
+
+    monkeypatch.setattr(fuchsian, "bolza_preset", lambda: group)
+    _perturbed_words(monkeypatch)
+    conf = tmp_path / "short.ini"
+    conf.write_text("[run]\nL_max = 3.5\n")
+    code = cli.main(["--config", str(conf), "--out", str(tmp_path), "enumerate"])
+    assert code == 3
+    assert "away from its matrix" in capsys.readouterr().err
 
 
 # --- brute-force oracle ---

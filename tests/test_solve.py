@@ -105,6 +105,24 @@ def test_agmon_strip_stable_across_refinement(group):
     assert 0.5 <= strips[1] / strips[0] <= 2.0
 
 
+# first nonzero eigenvalue of the Bolza surface, a triple (Strohmaier &
+# Uski, Comm. Math. Phys. 317, 2013); an anchor independent of this code
+LAMBDA1_BOLZA = 3.83888725884
+
+
+def test_lambda1_converges_to_bolza_value(group, sys3):
+    # the mean of eigenvalues 2-4 approaches the triple; per-cluster
+    # multiplicities are split by the discretization, so only the mean
+    # is compared
+    r = character_rep((1, 1, 1, 1))
+    errs = []
+    for sys in (sys3, assemble(build_octagon_mesh(4, group), r)):
+        mean = _flat(solve_spectrum(sys, 20))[1:4].real.mean()
+        errs.append(abs(mean - LAMBDA1_BOLZA) / LAMBDA1_BOLZA)
+    assert errs[1] <= 6e-3
+    assert errs[0] / errs[1] >= 3.0
+
+
 def test_sparse_path_matches_dense(sys3):
     dense = _flat(solve_spectrum(sys3, 6, shift=0.0))
     sparse = _flat(solve_spectrum(sys3, 6, shift=0.0, dense_cutoff=0))

@@ -6,14 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
 from tracebench.workbench import io as wio
-from tracebench.workbench.config import (
-    ExperimentConfig,
-    TestFunctionSpec,
-    parse_config,
-    serialize_config,
-)
+from tracebench.workbench.config import ExperimentConfig, parse_config
 
 SAMPLE = """
 [run]
@@ -38,20 +34,6 @@ k = 2
 """
 
 
-def test_config_roundtrip():
-    cfg = parse_config(SAMPLE.format(out="runs"))
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    # and a nontrivial one
-    cfg2 = ExperimentConfig(
-        count=123,
-        shift=0.5 + 0.25j,
-        rep_character=(np.exp(0.3) + 0j, 1, 1, 1),
-        test_functions=(TestFunctionSpec("a", 2.0, 1), TestFunctionSpec("b", 5.5, 2)),
-    )
-    assert parse_config(serialize_config(cfg2)) == cfg2
-
-
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -62,6 +44,8 @@ def test_config_roundtrip():
         lambda s: s.replace("[run]", "[run]\nunknown_key = 3"),
         lambda s: s + "\n[mystery]\nx = 1\n",
         lambda s: s.replace("(1+0j), (1+0j), (1+0j), (1+0j)", "0, 1, 1, 1"),
+        lambda s: s.replace("L_max = 6.0", "L_max = 7.5"),
+        lambda s: s.replace("T = 2.0\nk = 2", "T = 2.0\nk = 2\nfamily = mollifier"),
     ],
 )
 def test_config_validation(mangle):
@@ -71,7 +55,7 @@ def test_config_validation(mangle):
 
 def test_short_window_advisory():
     cfg = ExperimentConfig(
-        L_max=3.0, test_functions=(TestFunctionSpec("wide", 5.5, 2),)
+        L_max=3.0, test_functions=(("wide", TestFunction(T=5.5, k=2)),)
     )
     assert cfg.advisory_short_window
     assert not ExperimentConfig().advisory_short_window
@@ -231,7 +215,7 @@ def test_rank2_trivial_residual_matches_rank1(group, classes_L6, tmp_path):
     with open(rep_path, "w") as fh:
         json.dump({"dim": 2, "images": [eye_flat] * 4}, fh)
 
-    tf = (TestFunctionSpec("wide", 4.0, 2),)
+    tf = (("wide", TestFunction(T=4.0, k=2)),)
     cfg1 = ExperimentConfig(level=3, count=40, test_functions=tf,
                             out_dir=str(tmp_path))
     cfg2 = ExperimentConfig(level=3, count=80, test_functions=tf,
@@ -263,9 +247,9 @@ def test_verify_and_geomside_agree_on_window(group, tmp_path):
     geo = json.load(open(os.path.join(out, "geomside.json")))["w"]
 
     cfg = ExperimentConfig(L_max=4.5, out_dir=out,
-                           test_functions=(TestFunctionSpec("w", 4.2, 2),))
+                           test_functions=(("w", TestFunction(T=4.2, k=2)),))
     spec = SpectrumResult(eigenvalues=((0j, 1, 0.0), (420.0 + 0j, 1, 0.0)),
-                          mesh_h=0.1, cluster_tol=1e-6, d=1)
+                          mesh_h=0.1, d=1)
     report = run_verify(cfg, group, build_representation(cfg),
                         enumerate_classes(group, 4.5), spec)
     assert report.entries[0]["window_complete"] is geo["window_complete"] is True
