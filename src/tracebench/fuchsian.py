@@ -181,9 +181,15 @@ class ConjugacyClass:
     rep_matrix: np.ndarray
     trace: float
     length: float
-    primitive_length: float
     power: int
-    discriminant: float
+
+    @property
+    def primitive_length(self) -> float:
+        return self.length / self.power
+
+    @property
+    def discriminant(self) -> float:
+        return float(2.0 * np.sinh(self.length / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +450,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
                 rep_matrix=cmat,
                 trace=tr,
                 length=ell,
-                primitive_length=ell / power,
                 power=power,
-                discriminant=float(2.0 * np.sinh(ell / 2.0)),
             )
         )
 

@@ -139,24 +139,17 @@ def axis_dist_to_origin(m: np.ndarray):
 def axis_endpoints(m: np.ndarray):
     """Attracting/repelling fixed points on the unit circle (disk model).
 
-    Solves conj(beta) w^2 + (conj(alpha) - alpha) w - beta = 0.  For
-    hyperbolic m the two roots are distinct unit-modulus points.
+    Solves conj(beta) w^2 + (conj(alpha) - alpha) w - beta = 0.  m must be
+    hyperbolic: then m.0 != 0, so beta != 0, and the two roots are
+    distinct unit-modulus points.
     """
     alpha, beta = disk_coeffs(m)
     A = np.conj(beta)
     B = np.conj(alpha) - alpha
     C = -beta
     disc = np.sqrt(B * B - 4.0 * A * C)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w1 = (-B + disc) / (2.0 * A)
-        w2 = (-B - disc) / (2.0 * A)
-    # beta == 0 means the axis is a diameter through 0 along the real-trace
-    # rotation; for our use (hyperbolic elements moved off-center) this is
-    # rare but must not produce NaNs: fall back to +-1 direction of B.
-    bad = np.abs(A) < 1e-300
-    if np.any(bad):
-        w1 = np.where(bad, 1.0 + 0j, w1)
-        w2 = np.where(bad, -1.0 + 0j, w2)
+    w1 = (-B + disc) / (2.0 * A)
+    w2 = (-B - disc) / (2.0 * A)
     return w1 / np.abs(w1), w2 / np.abs(w2)
 
 

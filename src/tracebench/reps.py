@@ -19,16 +19,22 @@ from .fuchsian import RELATOR, ConjugacyClass
 _GENERATOR_COUNT = 4
 _DET_FLOOR = 1e-12
 _COND_CEIL = 1e12
+_RELATOR_TOL = 1e-8  # the one relator gate, shared with assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: ndarray == is elementwise
 class Representation:
-    dim: int
+    """Images of a1, b1, a2, b2; everything else is derived from them.
+
+    Building one does not gate the relator: `from_generator_images` does,
+    and assembly checks `relator_residual` against the same bound.
+    """
+
     images: np.ndarray  # (4, d, d) complex
-    relator_residual: float
 
     def __post_init__(self):
         object.__setattr__(self, "images", np.asarray(self.images, dtype=complex))
+        object.__setattr__(self, "dim", self.images.shape[1])
         # cache extended-precision images and inverses: trace invariance
         # under word conjugation is only as good as |W^-1 W - I|, and a
         # double-precision inverse (rel err ~ cond * 1e-16) leaks into the
@@ -42,19 +48,8 @@ class Representation:
             inv[i] = inv[i] @ (eye2 - ext[i] @ inv[i])  # one Newton polish
         object.__setattr__(self, "_images_ext", ext)
         object.__setattr__(self, "_images_inv", inv)
-
-
-@dataclass(frozen=True)
-class CharacterPoint:
-    z: tuple  # 4 nonzero complex scalars
-
-    def __post_init__(self):
-        z = tuple(complex(v) for v in self.z)
-        if len(z) != _GENERATOR_COUNT:
-            raise ValueError("character point needs 4 values, got %d" % len(z))
-        if any(v == 0 for v in z):
-            raise ValueError("character values must be nonzero")
-        object.__setattr__(self, "z", z)
+        residual = np.max(np.abs(_word_image(self, RELATOR) - np.eye(self.dim)))
+        object.__setattr__(self, "relator_residual", float(residual))
 
 
 def _word_image(r: Representation, w) -> np.ndarray:
@@ -72,7 +67,7 @@ def _word_image(r: Representation, w) -> np.ndarray:
     return out.astype(complex)
 
 
-def from_generator_images(images, tol: float = 1e-8) -> Representation:
+def from_generator_images(images) -> Representation:
     mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in images]
     if len(mats) != _GENERATOR_COUNT:
         raise ValueError("need 4 generator images, got %d" % len(mats))
@@ -80,24 +75,31 @@ def from_generator_images(images, tol: float = 1e-8) -> Representation:
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("generator images must be square and same size")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("generator images must be finite")
         if abs(np.linalg.det(m)) < _DET_FLOOR:
             raise SingularImage("generator image is numerically singular")
-    arr = np.stack(mats)
-    rep = Representation(dim=d, images=arr, relator_residual=0.0)
-    residual = float(np.max(np.abs(_word_image(rep, RELATOR) - np.eye(d))))
-    if residual > tol:
+    rep = Representation(np.stack(mats))
+    if rep.relator_residual > _RELATOR_TOL:
         raise RelatorViolation(
-            "relator residual %.3e exceeds tol %.3e" % (residual, tol)
+            "relator residual %.3e exceeds tol %.3e"
+            % (rep.relator_residual, _RELATOR_TOL)
         )
-    return Representation(dim=d, images=arr, relator_residual=residual)
+    return rep
 
 
-def character_rep(p: CharacterPoint) -> Representation:
-    p = p if isinstance(p, CharacterPoint) else CharacterPoint(tuple(p))
-    images = np.array([[[z]] for z in p.z], dtype=complex)
-    # commutators of scalars are identically 1, so the relator holds
-    # exactly; skip the numerical check and record a zero residual
-    return Representation(dim=1, images=images, relator_residual=0.0)
+def character_rep(z) -> Representation:
+    """Scalar character from four finite, nonzero values, one per generator.
+
+    Commutators of scalars are identically 1, so the relator holds for
+    any such values.
+    """
+    z = [complex(v) for v in z]
+    if len(z) != _GENERATOR_COUNT:
+        raise ValueError("character needs 4 values, got %d" % len(z))
+    if not all(v != 0 and np.isfinite(v) for v in z):
+        raise ValueError("character values must be finite and nonzero")
+    return Representation(np.array([[[v]] for v in z], dtype=complex))
 
 
 def trace_on_class(r: Representation, c: ConjugacyClass) -> complex:
@@ -121,9 +123,7 @@ def unitarity_defect(r: Representation) -> float:
 
 
 def conjugate_rep(r: Representation) -> Representation:
-    return Representation(
-        dim=r.dim, images=r.images.conj(), relator_residual=r.relator_residual
-    )
+    return Representation(r.images.conj())
 
 
 def similar_rep(r: Representation, P) -> Representation:
@@ -134,27 +134,15 @@ def similar_rep(r: Representation, P) -> Representation:
     if not np.isfinite(cond) or cond > _COND_CEIL:
         raise SingularImage("similarity transform condition %.3e too large" % cond)
     Pinv = np.linalg.inv(P)
-    images = np.stack([P @ m @ Pinv for m in r.images])
-    rep = Representation(dim=r.dim, images=images, relator_residual=0.0)
-    residual = float(
-        np.max(np.abs(_word_image(rep, RELATOR) - np.eye(r.dim)))
-    )
-    return Representation(dim=r.dim, images=images, relator_residual=residual)
+    return Representation(np.stack([P @ m @ Pinv for m in r.images]))
 
 
 def rep_from_json(obj) -> Representation:
-    """Build a representation from the JSON input format.
-
-    Either {"character": [[re,im], ...]} with 4 entries, or
-    {"dim": d, "images": [...], "tol": t} with row-major [re,im] pairs.
+    """Build a representation from the JSON input format: exactly
+    {"dim": d, "images": [...]}, four images of row-major [re, im] pairs.
     """
-    if "character" in obj:
-        vals = obj["character"]
-        if len(vals) != _GENERATOR_COUNT:
-            raise ValueError("character shorthand needs 4 entries")
-        return character_rep(
-            CharacterPoint(tuple(complex(re, im) for re, im in vals))
-        )
+    if not isinstance(obj, dict) or set(obj) != {"dim", "images"}:
+        raise ValueError('expected exactly the keys "dim" and "images"')
     d = int(obj["dim"])
     images = []
     for flat in obj["images"]:
@@ -162,4 +150,4 @@ def rep_from_json(obj) -> Representation:
             [complex(re, im) for re, im in flat], dtype=complex
         ).reshape(d, d)
         images.append(m)
-    return from_generator_images(images, tol=float(obj.get("tol", 1e-8)))
+    return from_generator_images(images)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConstraintCycleInconsistent
-from ..reps import Representation, _word_image, unitarity_defect
+from ..reps import _RELATOR_TOL, Representation, _word_image, unitarity_defect
 from .mesh import OctagonMesh
 
 _UNITARY_EPS = 1e-12
@@ -112,21 +112,11 @@ def _identifications(mesh: OctagonMesh, r: Representation):
     eye = np.eye(r.dim, dtype=complex)
     factor = {}
     root_of = {}
-    for start in sorted(adj):
-        if start in root_of:
+    for root in sorted(adj):
+        if root in root_of:
             continue
-        comp = [start]
-        seen = {start}
-        queue = [start]
-        while queue:
-            cur = queue.pop(0)
-            for nb, _, _ in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    queue.append(nb)
-        root = min(comp)
-        # BFS again from the root, accumulating factors
+        # BFS over a new component from its smallest node, accumulating
+        # factors: every smaller node already belongs to a finished component
         factor[root] = eye
         root_of[root] = root
         queue = [root]
@@ -149,7 +139,7 @@ def _identifications(mesh: OctagonMesh, r: Representation):
 
 
 def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
-    if r.relator_residual > 1e-8:
+    if r.relator_residual > _RELATOR_TOL:
         raise ConstraintCycleInconsistent(
             "relator residual %.3e too large for corner gluing"
             % r.relator_residual
@@ -171,7 +161,7 @@ def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
         for node in range(n):
             root = root_of.get(node, node)
             p = free_index[root]
-            X = blocks.get(node, None) if node in factor else None
+            X = blocks.get(node)
             B = np.eye(d, dtype=complex) if X is None else X
             for a in range(d):
                 for b in range(d):

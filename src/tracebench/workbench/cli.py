@@ -54,22 +54,17 @@ def _class_rows(classes):
 
 
 def _classes_from_rows(g, rows):
-    import numpy as np
-
     from ..fuchsian import ConjugacyClass, evaluate_word, parse_word
 
     out = []
-    for length_s, trace_s, power_s, plen_s, word_s in rows:
+    for length_s, trace_s, power_s, _, word_s in rows:
         w = parse_word(word_s)
-        length = float(length_s)
         out.append(ConjugacyClass(
             rep_word=w,
             rep_matrix=evaluate_word(g, w),
             trace=float(trace_s),
-            length=length,
-            primitive_length=float(plen_s),
+            length=float(length_s),
             power=int(power_s),
-            discriminant=float(2.0 * np.sinh(length / 2.0)),
         ))
     return out
 
@@ -124,9 +119,9 @@ def cmd_enumerate(cfg, args) -> int:
 def cmd_spectrum(cfg, args) -> int:
     from ..fuchsian import bolza_preset
     from . import io
-    from .verify import build_representation, build_spectrum
+    from .verify import build_spectrum
 
-    spec = build_spectrum(cfg, bolza_preset(), build_representation(cfg))
+    spec = build_spectrum(cfg, bolza_preset(), cfg.representation)
     path = os.path.join(cfg.out_dir, "spectrum.csv")
     rows = [
         (lam.real, lam.imag, m, res) for lam, m, res in spec.eigenvalues
@@ -148,11 +143,10 @@ def cmd_geomside(cfg, args) -> int:
     from ..geomside import geometric_side
     from ..reps import trace_on_class
     from . import io
-    from .verify import build_representation
 
     g = bolza_preset()
+    r = cfg.representation
     classes, _ = _ensure_classes(cfg, g, args.refresh, args.no_compute)
-    r = build_representation(cfg)
     summary = {}
     for name, f in cfg.test_functions:
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
@@ -196,10 +190,10 @@ def cmd_weyl(cfg, args) -> int:
     from ..fuchsian import bolza_preset
     from ..spectral import weyl_counting
     from . import io
-    from .verify import build_representation, build_spectrum
+    from .verify import build_spectrum
 
     g = bolza_preset()
-    spec = build_spectrum(cfg, g, build_representation(cfg))
+    spec = build_spectrum(cfg, g, cfg.representation)
     lam_top = max(abs(lam) for lam, _, _ in spec.eigenvalues)
     trusted = lam_top / 3.0
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
@@ -222,13 +216,11 @@ def cmd_weyl(cfg, args) -> int:
 def cmd_verify(cfg, args) -> int:
     from ..fuchsian import bolza_preset
     from . import io
-    from .verify import (
-        build_representation, build_spectrum, format_table, run_verify,
-    )
+    from .verify import build_spectrum, format_table, run_verify
 
     g = bolza_preset()
+    r = cfg.representation
     classes, _ = _ensure_classes(cfg, g, args.refresh)
-    r = build_representation(cfg)
     spec = build_spectrum(cfg, g, r)
     report = run_verify(cfg, g, r, classes, spec)
     path = os.path.join(cfg.out_dir, "verify.json")

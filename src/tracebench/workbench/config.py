@@ -1,22 +1,26 @@
 """Experiment configuration.
 
 A small INI dialect: one [run] section for the numeric knobs, one
-[representation] section, and any number of [test_function.NAME]
-sections, each parsed straight into an `analysis.TestFunction`.
+[representation] section, parsed straight into a `reps.Representation`,
+and any number of [test_function.NAME] sections, each parsed straight
+into an `analysis.TestFunction`.  Bad input fails at load, before any
+enumeration or solve.
 """
 
 from __future__ import annotations
 
 import configparser
+import json
 import os
 from dataclasses import dataclass
 
 from ..analysis import TestFunction
 from ..errors import ConfigError
 from ..fuchsian import L_MAX_CAP
+from ..reps import Representation, character_rep, rep_from_json
 
 _PRESETS = ("bolza",)
-_REP_KINDS = ("character", "file")
+_REP_KEYS = {"character": "values", "file": "path"}  # kind -> its one key
 
 _RUN_KEYS = ("preset", "L_max", "level", "count", "shift", "threshold",
              "budget", "out_dir")
@@ -33,9 +37,8 @@ class ExperimentConfig:
     threshold: float = 0.05
     budget: int = 6_000_000
     out_dir: str = "runs"
-    rep_kind: str = "character"
-    rep_character: tuple = (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
-    rep_path: str = ""
+    rep_kind: str = "character"  # provenance label for the outputs
+    representation: Representation = character_rep((1, 1, 1, 1))
     test_functions: tuple = (("main", TestFunction(T=4.0, k=2)),)  # (name, f)
 
     @property
@@ -49,6 +52,36 @@ def _complex_of(s: str, where: str) -> complex:
         return complex(s.strip())
     except ValueError:
         raise ConfigError("%s: cannot parse %r as a complex number" % (where, s))
+
+
+def _representation(sec) -> tuple:
+    """(kind, Representation) from a [representation] section.
+
+    A file path is taken relative to the working directory.
+    """
+    kind = sec.get("kind", "character").strip()
+    if kind not in _REP_KEYS:
+        raise ConfigError("[representation] kind must be one of %s, got %r"
+                          % (tuple(_REP_KEYS), kind))
+    for key in sec:
+        if key not in ("kind", _REP_KEYS[kind]):
+            raise ConfigError("unknown key %r in [representation] of kind %s"
+                              % (key, kind))
+    if kind == "character":
+        vals = [_complex_of(s, "[representation] values")
+                for s in sec.get("values", "1, 1, 1, 1").split(",")]
+        try:
+            return kind, character_rep(vals)
+        except ValueError as exc:
+            raise ConfigError("[representation]: %s" % exc)
+    if "path" not in sec:
+        raise ConfigError("[representation] of kind file needs a path")
+    path = sec["path"].strip()
+    try:
+        with open(path) as fh:
+            return kind, rep_from_json(json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError("[representation] path %s: %s" % (path, exc))
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -67,13 +100,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("threshold must lie in (0, 1]")
     if cfg.budget < 1000:
         raise ConfigError("budget below any useful enumeration size")
-    if cfg.rep_kind not in _REP_KINDS:
-        raise ConfigError("rep kind must be one of %s" % (_REP_KINDS,))
-    if cfg.rep_kind == "character":
-        if len(cfg.rep_character) != 4 or any(z == 0 for z in cfg.rep_character):
-            raise ConfigError("character needs 4 nonzero values")
-    elif not cfg.rep_path:
-        raise ConfigError("rep kind 'file' needs a path")
     if not cfg.test_functions:
         raise ConfigError("at least one [test_function.NAME] section required")
     return cfg
@@ -111,17 +137,9 @@ def parse_config(text: str) -> ExperimentConfig:
             kw["out_dir"] = run["out_dir"].strip()
 
     if cp.has_section("representation"):
-        rep = cp["representation"]
-        kind = rep.get("kind", "character").strip()
-        kw["rep_kind"] = kind
-        if "values" in rep:
-            vals = [
-                _complex_of(s, "[representation] values")
-                for s in rep["values"].split(",")
-            ]
-            kw["rep_character"] = tuple(vals)
-        if "path" in rep:
-            kw["rep_path"] = rep["path"].strip()
+        kw["rep_kind"], kw["representation"] = _representation(
+            cp["representation"]
+        )
 
     tfs = []
     for section in cp.sections():

@@ -9,7 +9,7 @@ import numpy as np
 from .. import __version__
 from ..fuchsian import SurfaceGroup
 from ..geomside import geometric_side
-from ..reps import Representation, character_rep, rep_from_json
+from ..reps import Representation
 from ..spectral import assemble, build_octagon_mesh, solve_spectrum, spectral_side
 from .config import ExperimentConfig
 
@@ -31,15 +31,6 @@ class TraceReport:
             "threshold": self.threshold,
             "ok": self.ok,
         }
-
-
-def build_representation(cfg: ExperimentConfig):
-    if cfg.rep_kind == "character":
-        return character_rep(cfg.rep_character)
-    import json
-
-    with open(cfg.rep_path) as fh:
-        return rep_from_json(json.load(fh))
 
 
 def build_spectrum(cfg: ExperimentConfig, g: SurfaceGroup, r: Representation):

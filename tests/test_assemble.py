@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from tracebench.errors import ConstraintCycleInconsistent
-from tracebench.reps import character_rep, from_generator_images
+from tracebench.reps import (
+    _RELATOR_TOL,
+    Representation,
+    character_rep,
+    from_generator_images,
+)
 from tracebench.spectral.assemble import assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 
@@ -75,8 +80,8 @@ def test_sloppy_relator_rejected(group):
     gens = [m.copy() for m in group.generators]
     gens[0][0, 1] += 3e-6
     gens[1][1, 0] += 2e-6
-    r = from_generator_images(gens, tol=1e-3)  # rep object builds fine
-    assert r.relator_residual > 1e-8
+    r = Representation(gens)  # the record builds; assembly is the gate
+    assert r.relator_residual > _RELATOR_TOL
     with pytest.raises(ConstraintCycleInconsistent):
         assemble(build_octagon_mesh(1, group), r)
 

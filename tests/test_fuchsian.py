@@ -39,7 +39,7 @@ from tracebench.hyperbolic import (
     renormalize,
     trace,
 )
-from tracebench.reps import CharacterPoint, character_rep, trace_on_class
+from tracebench.reps import character_rep, trace_on_class
 
 # --- closed-form octagon constants, derived here from scratch ---
 # regular hyperbolic octagon with vertex angle 2*pi/8: the right triangle
@@ -147,7 +147,7 @@ def test_power_detection(classes_L62):
     # a class function, not lengths: under a generic non-unitary
     # character the squares are exactly the systole classes squared,
     # chi(p^2) = chi(p)^2, so the two multisets of values coincide
-    chi = character_rep(CharacterPoint((1.3 * np.exp(0.4j), 0.8, 1, 1)))
+    chi = character_rep((1.3 * np.exp(0.4j), 0.8, 1, 1))
     got = [complex(trace_on_class(chi, c)) for c in squares]
     want = [complex(trace_on_class(chi, p)) ** 2 for p in systoles]
     assert _match_multisets(got, want, 1e-12)

@@ -9,13 +9,12 @@ from tracebench.analysis import TestFunction, identity_term
 from tracebench.fuchsian import enumerate_classes, free_reduce, word_inverse
 from tracebench.geomside import geometric_side
 from tracebench.reps import (
-    CharacterPoint,
     character_rep,
     conjugate_rep,
     from_generator_images,
 )
 
-TRIV = character_rep(CharacterPoint((1, 1, 1, 1)))
+TRIV = character_rep((1, 1, 1, 1))
 
 
 def test_empty_sum_below_systole(group):
@@ -58,10 +57,10 @@ def test_inverse_character_pairing(group, classes_L6):
     # the length spectrum is inverse-closed, so the totals must agree
     f = TestFunction(T=5.9, k=2)
     a = geometric_side(
-        group, classes_L6, character_rep(CharacterPoint((2, 1, 1, 1))), f, 6.0
+        group, classes_L6, character_rep((2, 1, 1, 1)), f, 6.0
     )
     b = geometric_side(
-        group, classes_L6, character_rep(CharacterPoint((0.5, 1, 1, 1))), f, 6.0
+        group, classes_L6, character_rep((0.5, 1, 1, 1)), f, 6.0
     )
     assert a.total == pytest.approx(b.total, rel=1e-12)
 
@@ -83,14 +82,14 @@ def test_representative_independence(group, classes_L6, rng):
 
 def test_unitary_character_total_is_real(group, classes_L6):
     f = TestFunction(T=5.9, k=2)
-    r = character_rep(CharacterPoint((np.exp(0.9j), 1, 1, 1)))
+    r = character_rep((np.exp(0.9j), 1, 1, 1))
     rep = geometric_side(group, classes_L6, r, f, L_max=6.0)
     assert abs(rep.total.imag) <= 1e-10 * (1 + abs(rep.total))
 
 
 def test_conjugation_symmetry(group, classes_L6):
     f = TestFunction(T=5.9, k=2)
-    r = character_rep(CharacterPoint((np.exp(0.3 + 0.4j), 0.9 + 0.2j, 1, 1)))
+    r = character_rep((np.exp(0.3 + 0.4j), 0.9 + 0.2j, 1, 1))
     a = geometric_side(group, classes_L6, r, f, L_max=6.0)
     b = geometric_side(group, classes_L6, conjugate_rep(r), f, L_max=6.0)
     assert b.total == pytest.approx(np.conj(a.total), abs=1e-12 * (1 + abs(a.total)))

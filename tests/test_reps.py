@@ -8,7 +8,6 @@ import pytest
 from tracebench.errors import RelatorViolation, SingularImage
 from tracebench.fuchsian import free_reduce, word_inverse
 from tracebench.reps import (
-    CharacterPoint,
     character_rep,
     conjugate_rep,
     from_generator_images,
@@ -39,7 +38,7 @@ def test_relator_violation():
     # so perturbing a1 alone is not enough; perturb two non-commuting images
     mats[1] = np.eye(2) + 0.1 * np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RelatorViolation):
-        from_generator_images(mats, tol=1e-8)
+        from_generator_images(mats)
 
 
 def test_singular_image_rejected():
@@ -49,25 +48,24 @@ def test_singular_image_rejected():
 
 
 def test_character_basics():
-    triv = character_rep(CharacterPoint((1, 1, 1, 1)))
+    triv = character_rep((1, 1, 1, 1))
     assert triv.dim == 1 and triv.relator_residual == 0.0
     assert unitarity_defect(triv) == 0.0
 
     th = 0.7
-    uni = character_rep(CharacterPoint((np.exp(1j * th), 1, 1, 1)))
+    uni = character_rep((np.exp(1j * th), 1, 1, 1))
     assert unitarity_defect(uni) < 1e-15
 
-    nonuni = character_rep(CharacterPoint((2, 1, 1, 1)))
+    nonuni = character_rep((2, 1, 1, 1))
     assert unitarity_defect(nonuni) == pytest.approx(3.0, abs=1e-14)
 
-    with pytest.raises(ValueError):
-        CharacterPoint((0, 1, 1, 1))
-    with pytest.raises(ValueError):
-        CharacterPoint((1, 1, 1))
+    for bad in ((0, 1, 1, 1), (1, 1, 1), (np.nan, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            character_rep(bad)
 
 
 def test_trace_on_class_scalar_power(classes_L6):
-    r = character_rep(CharacterPoint((2, 1, 1, 1)))
+    r = character_rep((2, 1, 1, 1))
     c = replace(classes_L6[0], rep_word=(1, 1))
     assert trace_on_class(r, c) == pytest.approx(4.0)
     c3 = replace(classes_L6[0], rep_word=(1, 1, 1))
@@ -78,7 +76,7 @@ def test_trace_is_class_function(group, classes_L6, rng):
     # conjugating the representative word must not move the trace; this is
     # the main thing the geometric side relies on
     reps = [
-        character_rep(CharacterPoint((np.exp(0.3), 1, 1, 1))),
+        character_rep((np.exp(0.3), 1, 1, 1)),
         from_generator_images(group.generators),  # the Fuchsian rep itself
     ]
     alphabet = [1, -1, 2, -2, 3, -3, 4, -4]
@@ -107,9 +105,10 @@ def test_abelianization_oracle(classes_L6, rng):
     z1 = (1.3 + 0.4j, 0.9, 1.1j, 0.7 - 0.2j)
     z2 = (0.8, 1.0 + 0.5j, 1.2, 0.95j)
     mats = [np.diag([a, b]) for a, b in zip(z1, z2)]
-    r = from_generator_images(mats, tol=1e-10)
-    ch1 = character_rep(CharacterPoint(z1))
-    ch2 = character_rep(CharacterPoint(z2))
+    r = from_generator_images(mats)
+    assert r.relator_residual <= 1e-10
+    ch1 = character_rep(z1)
+    ch2 = character_rep(z2)
     for c in classes_L6[::13]:
         n = [0, 0, 0, 0]
         for letter in c.rep_word:
@@ -125,15 +124,15 @@ def test_abelianization_oracle(classes_L6, rng):
 
 
 def test_conjugate_rep(classes_L6):
-    r = character_rep(CharacterPoint((np.exp(1j * 0.9), 0.8 + 0.1j, 1, 1)))
+    r = character_rep((np.exp(1j * 0.9), 0.8 + 0.1j, 1, 1))
     rc = conjugate_rep(r)
     for c in classes_L6[::17]:
         assert trace_on_class(rc, c) == pytest.approx(
             np.conj(trace_on_class(r, c)), abs=1e-12
         )
     # conjugate of a unitary character is its inverse character
-    uni = character_rep(CharacterPoint((np.exp(1j * 0.9), 1, 1, 1)))
-    inv = character_rep(CharacterPoint((np.exp(-1j * 0.9), 1, 1, 1)))
+    uni = character_rep((np.exp(1j * 0.9), 1, 1, 1))
+    inv = character_rep((np.exp(-1j * 0.9), 1, 1, 1))
     for c in classes_L6[::29]:
         assert trace_on_class(conjugate_rep(uni), c) == pytest.approx(
             trace_on_class(inv, c), abs=1e-12
@@ -157,12 +156,18 @@ def test_similar_rep(group, classes_L6, rng):
 
 
 def test_rep_from_json(classes_L6):
-    obj = {"character": [[2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
-    r = rep_from_json(obj)
-    assert r.dim == 1
-    assert trace_on_class(r, replace(classes_L6[0], rep_word=(1,))) == 2.0
-
     eye_flat = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-    obj2 = {"dim": 2, "images": [eye_flat] * 4, "tol": 1e-10}
-    r2 = rep_from_json(obj2)
+    r2 = rep_from_json({"dim": 2, "images": [eye_flat] * 4})
     assert r2.dim == 2 and r2.relator_residual == 0.0
+
+    # exactly {"dim", "images"}: the old character shorthand and "tol" key
+    # are unknown keys now, a missing "images" is rejected, and so is a NaN
+    for obj in (
+        {"character": [[2.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]},
+        {"dim": 2, "images": [eye_flat] * 4, "tol": 1e-10},
+        {"dim": 2},
+        [eye_flat] * 4,
+        {"dim": 2, "images": [[[np.nan, 0.0]] + eye_flat[1:]] + [eye_flat] * 3},
+    ):
+        with pytest.raises(ValueError):
+            rep_from_json(obj)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ k = 2
         lambda s: s.replace("(1+0j), (1+0j), (1+0j), (1+0j)", "0, 1, 1, 1"),
         lambda s: s.replace("L_max = 6.0", "L_max = 7.5"),
         lambda s: s.replace("T = 2.0\nk = 2", "T = 2.0\nk = 2\nfamily = mollifier"),
+        lambda s: s.replace("values =", "valuez ="),
+        lambda s: s.replace("kind = character", "kind = character\npath = rep.json"),
+        lambda s: s.replace("kind = character\nvalues = (1+0j), (1+0j), (1+0j), (1+0j)",
+                            "kind = file\npath = no/such/rep.json"),
+        lambda s: s.replace("(1+0j), (1+0j), (1+0j), (1+0j)", "nan, 1, 1, 1"),
     ],
 )
 def test_config_validation(mangle):
@@ -111,9 +117,10 @@ def cli_conf(tmp_path_factory):
 def test_cli_enumerate_cache_byte_identity(cli_conf):
     conf, out = cli_conf
     assert _run(["--config", conf, "enumerate"]).returncode == 0
-    first = open(os.path.join(out, "lengths.csv"), "rb").read()
+    path = Path(out, "lengths.csv")
+    first = path.read_bytes()
     assert _run(["--config", conf, "enumerate"]).returncode == 0
-    second = open(os.path.join(out, "lengths.csv"), "rb").read()
+    second = path.read_bytes()
     assert first == second
     header = first.decode().splitlines()[0]
     assert header == "length,trace,power,primitive_length,word"
@@ -147,13 +154,11 @@ def test_cli_empty_window_has_valid_header(cli_conf, tmp_path):
     # L_max below the systole: empty file, header intact
     conf, _ = cli_conf
     short = str(tmp_path / "short.ini")
-    text = open(conf).read().replace("L_max = 6.0", "L_max = 1.0")
-    with open(short, "w") as fh:
-        fh.write(text)
+    Path(short).write_text(Path(conf).read_text().replace("L_max = 6.0", "L_max = 1.0"))
     out = str(tmp_path / "shortout")
     r = _run(["--config", short, "--out", out, "enumerate"])
     assert r.returncode == 0
-    lines = open(os.path.join(out, "lengths.csv")).read().splitlines()
+    lines = Path(out, "lengths.csv").read_text().splitlines()
     assert lines == ["length,trace,power,primitive_length,word"]
 
 
@@ -162,8 +167,8 @@ def test_cli_spectrum_rerun_byte_identity(cli_conf, tmp_path):
     out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
     assert _run(["--config", conf, "--out", out1, "spectrum"]).returncode == 0
     assert _run(["--config", conf, "--out", out2, "spectrum"]).returncode == 0
-    a = open(os.path.join(out1, "spectrum.csv"), "rb").read()
-    b = open(os.path.join(out2, "spectrum.csv"), "rb").read()
+    a = Path(out1, "spectrum.csv").read_bytes()
+    b = Path(out2, "spectrum.csv").read_bytes()
     assert a == b
     assert a.decode().splitlines()[0] == "re,im,multiplicity,residual"
 
@@ -173,7 +178,7 @@ def test_cli_verify_report_and_exit_codes(cli_conf, tmp_path):
     out = str(tmp_path / "verify")
     r = _run(["--config", conf, "--out", out, "verify"])
     assert r.returncode == 0, r.stderr
-    report = json.load(open(os.path.join(out, "verify.json")))
+    report = json.loads(Path(out, "verify.json").read_text())
     assert report["ok"] is True
     assert report["provenance"]["spectrum_real"] is True
     names = [e["name"] for e in report["entries"]]
@@ -182,27 +187,22 @@ def test_cli_verify_report_and_exit_codes(cli_conf, tmp_path):
         assert e["rel_residual"] <= 0.05
 
     # rerunning writes byte-identical payload (timestamp only in sidecar)
-    blob = open(os.path.join(out, "verify.json"), "rb").read()
+    blob = Path(out, "verify.json").read_bytes()
     assert _run(["--config", conf, "--out", out, "verify"]).returncode == 0
-    assert open(os.path.join(out, "verify.json"), "rb").read() == blob
+    assert Path(out, "verify.json").read_bytes() == blob
 
     # impossible threshold flips the exit code to 4
     strict = str(tmp_path / "strict.ini")
-    with open(strict, "w") as fh:
-        fh.write(open(conf).read().replace(
-            "threshold = 0.05", "threshold = 0.0000001"))
+    Path(strict).write_text(Path(conf).read_text().replace(
+        "threshold = 0.05", "threshold = 0.0000001"))
     r = _run(["--config", strict, "--out", str(tmp_path / "v2"), "verify"])
     assert r.returncode == 4
 
 
 def _verify(cfg, group, classes):
-    from tracebench.workbench.verify import (
-        build_representation,
-        build_spectrum,
-        run_verify,
-    )
+    from tracebench.workbench.verify import build_spectrum, run_verify
 
-    r = build_representation(cfg)
+    r = cfg.representation
     return run_verify(cfg, group, r, classes, build_spectrum(cfg, group, r))
 
 
@@ -210,16 +210,16 @@ def test_rank2_trivial_residual_matches_rank1(group, classes_L6, tmp_path):
     # both sides of the identity scale by the fiber dimension, so the
     # relative residual must not move
 
-    rep_path = str(tmp_path / "rep2.json")
+    rep_file = tmp_path / "rep2.json"
     eye_flat = [[1, 0], [0, 0], [0, 0], [1, 0]]
-    with open(rep_path, "w") as fh:
-        json.dump({"dim": 2, "images": [eye_flat] * 4}, fh)
+    rep_file.write_text(json.dumps({"dim": 2, "images": [eye_flat] * 4}))
+    rank2 = parse_config("[representation]\nkind = file\npath = %s\n" % rep_file)
 
     tf = (("wide", TestFunction(T=4.0, k=2)),)
     cfg1 = ExperimentConfig(level=3, count=40, test_functions=tf,
                             out_dir=str(tmp_path))
     cfg2 = ExperimentConfig(level=3, count=80, test_functions=tf,
-                            rep_kind="file", rep_path=rep_path,
+                            rep_kind="file", representation=rank2.representation,
                             out_dir=str(tmp_path))
     rep1 = _verify(cfg1, group, classes_L6)
     rep2 = _verify(cfg2, group, classes_L6)
@@ -236,7 +236,7 @@ def test_verify_and_geomside_agree_on_window(group, tmp_path):
     # the window reaches T = 4.2 only when the cutoff itself is used
     from tracebench.fuchsian import enumerate_classes
     from tracebench.spectral.solve import SpectrumResult
-    from tracebench.workbench.verify import build_representation, run_verify
+    from tracebench.workbench.verify import run_verify
 
     conf = str(tmp_path / "window.ini")
     with open(conf, "w") as fh:
@@ -244,13 +244,13 @@ def test_verify_and_geomside_agree_on_window(group, tmp_path):
     out = str(tmp_path / "window")
     r = _run(["--config", conf, "--out", out, "geomside"])
     assert r.returncode == 0, r.stderr
-    geo = json.load(open(os.path.join(out, "geomside.json")))["w"]
+    geo = json.loads(Path(out, "geomside.json").read_text())["w"]
 
     cfg = ExperimentConfig(L_max=4.5, out_dir=out,
                            test_functions=(("w", TestFunction(T=4.2, k=2)),))
     spec = SpectrumResult(eigenvalues=((0j, 1, 0.0), (420.0 + 0j, 1, 0.0)),
                           mesh_h=0.1, d=1)
-    report = run_verify(cfg, group, build_representation(cfg),
+    report = run_verify(cfg, group, cfg.representation,
                         enumerate_classes(group, 4.5), spec)
     assert report.entries[0]["window_complete"] is geo["window_complete"] is True
 
@@ -278,6 +278,8 @@ def test_lengths_cache_roundtrip_is_field_for_field(group, classes_L62, tmp_path
                 assert psl_close(a, b, 1e-7 * (1.0 + np.max(np.abs(a))))
             else:
                 assert a == b, fld.name
+        assert back.primitive_length == fresh.primitive_length
+        assert back.discriminant == fresh.discriminant
 
 
 def test_cli_weyl_window(cli_conf, tmp_path):
@@ -300,3 +302,24 @@ def test_cli_bad_config_exit_code(tmp_path):
     r = _run(["--config", conf, "enumerate"])
     assert r.returncode == 2
     assert "level" in r.stderr
+
+
+def test_cli_bad_representation_file_fails_at_load(tmp_path):
+    # a missing file, or a JSON without "images", is a config error: exit 2
+    # before any enumeration, with the path named and no output written
+    missing = tmp_path / "missing.json"
+    no_images = tmp_path / "no_images.json"
+    no_images.write_text(json.dumps({"dim": 2}))
+    cases = [(missing, cmd) for cmd in
+             ("enumerate", "spectrum", "geomside", "weyl", "verify")]
+    cases.append((no_images, "geomside"))
+    for i, (rep, cmd) in enumerate(cases):
+        conf = tmp_path / ("rep%d.ini" % i)
+        conf.write_text("[run]\nL_max = 3.5\n\n[representation]\nkind = file\n"
+                        "path = %s\n" % rep)
+        out = tmp_path / ("out%d" % i)
+        r = _run(["--config", str(conf), "--out", str(out), cmd])
+        assert r.returncode == 2, (cmd, r.stderr)
+        assert str(rep) in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
