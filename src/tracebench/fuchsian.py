@@ -218,27 +218,26 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
     disp = [np.zeros(1)]
     parent = [np.array([-1], dtype=np.int64)]
     letter = [np.array([-1], dtype=np.int8)]
-    seen = {_round_keys(np.eye(2)[None])[0].tobytes(): 0}
+    seen = {_round_keys(np.eye(2)[None])[0].tobytes()}
     total = 1
-    frontier = np.arange(1)
 
-    all_mats = np.eye(2)[None]
-    while frontier.size:
-        f = all_mats[frontier]                     # (n, 2, 2)
+    while True:
+        f = mats[-1]                               # the frontier, (n, 2, 2)
+        n = f.shape[0]
         child = np.einsum("nij,kjl->nkil", f, pairings).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
         cdisp = displacement(child)
         ok = cdisp <= r_prune
         child, cdisp = child[ok], cdisp[ok]
-        cparent = np.repeat(frontier, 8)[ok]
-        cletter = np.tile(np.arange(8, dtype=np.int8), frontier.size)[ok]
+        cparent = np.repeat(np.arange(total - n, total), 8)[ok]
+        cletter = np.tile(np.arange(8, dtype=np.int8), n)[ok]
 
         keys = _round_keys(child)
         fresh = []
         for i in range(child.shape[0]):
             kb = keys[i].tobytes()
             if kb not in seen:
-                seen[kb] = total + len(fresh)
+                seen.add(kb)
                 fresh.append(i)
         if not fresh:
             break
@@ -247,16 +246,13 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
         disp.append(cdisp[fresh])
         parent.append(cparent[fresh])
         letter.append(cletter[fresh])
-        new_n = fresh.size
-        frontier = np.arange(total, total + new_n)
-        total += new_n
+        total += fresh.size
         if total > budget:
             raise CutoffTooLarge("enumeration exceeded budget %d elements" % budget)
-        all_mats = np.concatenate(mats)
 
     disp = np.concatenate(disp)
     return (
-        all_mats,
+        np.concatenate(mats),
         disp,
         np.concatenate(parent),
         np.concatenate(letter),
@@ -335,7 +331,7 @@ def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.
     dist = axis_dist_to_origin(conj)
     dmin = dist.min()
     cand_idx = np.nonzero(dist <= dmin + 0.1)[0]
-    ent = np.round(conj[cand_idx].reshape(-1, 4) / _KEY_SCALE).astype(np.int64)
+    ent = _round_keys(conj[cand_idx])
     order = np.lexsort((ent[:, 3], ent[:, 2], ent[:, 1], ent[:, 0]))
     best = cand_idx[order[0]]
     ell = float(translation_length(conj[best]))

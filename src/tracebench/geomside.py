@@ -7,7 +7,8 @@ Each nontrivial class contributes
 where l0 is the primitive length.  The 1/sqrt(2*pi) matches the cosine
 transform convention in `analysis`: with phi = (1/sqrt(2*pi)) * int
 phihat cos, the weight applied to phihat(l) must carry the same factor or
-the two sides of the identity drift apart by a constant.  Verified
+the two sides of the identity drift apart by a constant, so the constant
+is imported from `analysis` rather than defined twice.  Verified
 end-to-end against the FEM spectrum in the acceptance suite.
 """
 
@@ -16,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .analysis import TestFunction, identity_term
+from .analysis import _SQRT_2PI, TestFunction, identity_term
 from .fuchsian import SurfaceGroup
 from .reps import Representation, trace_on_class
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 class ClassTerm(NamedTuple):

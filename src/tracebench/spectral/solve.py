@@ -1,13 +1,20 @@
 """Generalized eigensolvers for the assembled pencil.
 
-Dense path (default up to 8000 dofs): reduce K x = lam M x to an
-ordinary eigenproblem and run the QR algorithm, with the Hermitian
-branch going through the symmetric-definite reduction instead.  Above
-the cutoff: ARPACK shift-invert with a fixed start vector.  Either way
-the requested number of eigenvalues nearest the shift is returned,
-sorted by (Re, Im), clustered into algebraic multiplicities, and each
-cluster carries the worst pencil residual ||K x - lam M x||_2 over its
-members (eigenvectors normalized to unit 2-norm).
+Up to 8000 free dofs the dense path reduces K x = lam M x to an ordinary
+eigenproblem and runs the QR algorithm; a Hermitian pencil goes through
+the symmetric-definite reduction instead.  Either runs in real arithmetic
+when neither K nor M has a nonzero imaginary part.  Above 8000 dofs
+ARPACK runs in shift-invert mode from a fixed start vector.  A Hermitian
+pencil uses ARPACK's generalized mode, which needs a Hermitian M.  The
+Petrov-Galerkin M of a non-unitary twist is not Hermitian, so that
+pencil runs in standard mode on (K - sigma M)^-1 M, whose eigenvalue nu
+gives lam = sigma + 1/nu (Ericsson & Ruhe, Math. Comp. 35, 1980).
+
+The requested number of eigenvalues nearest the shift is kept, sorted by
+(Re, Im), and only those are checked: each kept eigenvector is
+normalized to unit 2-norm, its pencil residual ||K x - lam M x||_2 must
+pass a relative gate, and the clusters of algebraic multiplicity carry
+the worst residual over their members.
 """
 
 from __future__ import annotations
@@ -37,27 +44,16 @@ class SpectrumResult:
         return sum(m for _, m, _ in self.eigenvalues)
 
 
-def _as_real_if_possible(a: np.ndarray) -> np.ndarray:
-    if np.abs(a.imag).max(initial=0.0) == 0.0:
-        return np.ascontiguousarray(a.real)
-    return a
-
-
 def _dense_eig(K, M, hermitian: bool):
-    Kd = _as_real_if_possible(K.toarray())
-    Md = _as_real_if_possible(M.toarray())
-    if Kd.dtype != Md.dtype:
-        Kd, Md = Kd.astype(complex), Md.astype(complex)
+    if not (np.any(K.data.imag) or np.any(M.data.imag)):
+        K, M = K.real, M.real
+    Kd, Md = K.toarray(), M.toarray()
     if hermitian:
-        w, v = sla.eigh(Kd, Md)
-        return w.astype(complex), v.astype(complex)
-    lu = sla.lu_factor(Md)
-    A = sla.lu_solve(lu, Kd)
-    w, v = sla.eig(A)
-    return w, v
+        return sla.eigh(Kd, Md)
+    return sla.eig(sla.lu_solve(sla.lu_factor(Md), Kd))
 
 
-def _sparse_eig(K, M, count, shift, hermitian: bool, maxiter):
+def _sparse_eig(K, M, count, shift, hermitian: bool):
     n = K.shape[0]
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for reproducibility
     sigma = complex(shift)
@@ -65,15 +61,15 @@ def _sparse_eig(K, M, count, shift, hermitian: bool, maxiter):
     for _ in range(2):
         try:
             if hermitian:
-                w, v = spla.eigsh(
-                    K, k=count, M=M, sigma=float(sigma.real), v0=v0,
-                    maxiter=maxiter,
+                return spla.eigsh(
+                    K, k=count, M=M, sigma=float(sigma.real), v0=v0
                 )
-            else:
-                w, v = spla.eigs(
-                    K, k=count, M=M, sigma=sigma, v0=v0, maxiter=maxiter,
-                )
-            return w.astype(complex), v.astype(complex)
+            lu = spla.splu((K - sigma * M).tocsc())
+            op = spla.LinearOperator(
+                K.shape, matvec=lambda x: lu.solve(M @ x), dtype=complex
+            )
+            nu, v = spla.eigs(op, k=count, v0=v0)
+            return sigma + 1.0 / nu, v
         except ArpackNoConvergence as exc:
             raise SolverNotConverged(
                 "Arnoldi iteration did not converge (%s)" % exc
@@ -105,11 +101,7 @@ def _cluster(vals: np.ndarray, res: np.ndarray):
 
 
 def solve_spectrum(
-    sys: AssembledSystem,
-    count: int,
-    shift: complex = 0.0,
-    dense_cutoff: int = _DENSE_CUTOFF,
-    maxiter=None,
+    sys: AssembledSystem, count: int, shift: complex = 0.0
 ) -> SpectrumResult:
     if count < 1:
         raise ValueError("count must be positive")
@@ -119,22 +111,21 @@ def solve_spectrum(
             % (count, sys.N_free // 4)
         )
 
-    if sys.N_free <= dense_cutoff:
+    if sys.N_free <= _DENSE_CUTOFF:
         w, v = _dense_eig(sys.K, sys.M, sys.is_hermitian)
     else:
-        w, v = _sparse_eig(
-            sys.K, sys.M, count, shift, sys.is_hermitian, maxiter
-        )
-
-    # pencil residuals with unit-norm eigenvectors
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    R = sys.K @ v - (sys.M @ v) * w[None, :]
-    res = np.linalg.norm(R, axis=0)
+        w, v = _sparse_eig(sys.K, sys.M, count, shift, sys.is_hermitian)
+    w = w.astype(complex, copy=False)
 
     dist = np.abs(w - shift)
     order = np.lexsort((w.imag, w.real, dist))[:count]
     keep = order[np.lexsort((w[order].imag, w[order].real))]
-    vals, res = w[keep], res[keep]
+    vals, v = w[keep], v[:, keep].astype(complex, copy=False)
+
+    # pencil residuals with unit-norm eigenvectors
+    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    R = sys.K @ v - (sys.M @ v) * vals[None, :]
+    res = np.linalg.norm(R, axis=0)
 
     scale = np.abs(sys.K.data).max()
     bad = res > 1e-8 * (1.0 + np.abs(vals)) * scale

@@ -79,7 +79,7 @@ def run_verify(
         "preset": cfg.preset,
         "mesh_level": cfg.level,
         "mesh_h": float(spectrum.mesh_h),
-        "eigen_count": int(sum(m for _, m, _ in spectrum.eigenvalues)),
+        "eigen_count": spectrum.count,
         "L_max": cfg.L_max,
         "rep_kind": cfg.rep_kind,
         "rep_dim": r.dim,

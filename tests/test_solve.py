@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from tracebench.errors import ShiftTooCloseToEigenvalue, SolverNotConverged
 from tracebench.reps import (
@@ -9,6 +11,7 @@ from tracebench.reps import (
     from_generator_images,
     similar_rep,
 )
+from tracebench.spectral import solve
 from tracebench.spectral.assemble import AssembledSystem, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 from tracebench.spectral.solve import solve_spectrum
@@ -123,13 +126,27 @@ def test_lambda1_converges_to_bolza_value(group, sys3):
     assert errs[0] / errs[1] >= 3.0
 
 
-def test_sparse_path_matches_dense(sys3):
-    dense = _flat(solve_spectrum(sys3, 6, shift=0.0))
-    sparse = _flat(solve_spectrum(sys3, 6, shift=0.0, dense_cutoff=0))
-    assert np.all(np.abs(dense - sparse) <= 1e-7 * (1 + np.abs(dense)))
+@pytest.mark.parametrize("twist", ["trivial", "e", "fuchsian"])
+def test_sparse_path_matches_dense(group, twist, monkeypatch):
+    # the non-unitary twists give a pencil whose M is not Hermitian, which
+    # ARPACK's generalized mode cannot take
+    if twist == "fuchsian":
+        r = from_generator_images(group.generators)
+    else:
+        r = character_rep((np.e if twist == "e" else 1, 1, 1, 1))
+    sys = assemble(build_octagon_mesh(3, group), r)
+    dense = _flat(solve_spectrum(sys, 40))
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
+    sparse = _flat(solve_spectrum(sys, 40))
+    assert sparse.size == dense.size
+    # nearest-neighbour match both ways: (Re, Im) order can swap the two
+    # members of a conjugate pair whose real parts tie
+    gap = np.abs(sparse[:, None] - dense[None, :])
+    assert np.all(gap.min(axis=1) <= 1e-10 * (1 + np.abs(sparse)))
+    assert np.all(gap.min(axis=0) <= 1e-10 * (1 + np.abs(dense)))
 
 
-def test_shift_on_eigenvalue_exhausts_retries():
+def test_shift_on_eigenvalue_exhausts_retries(monkeypatch):
     # diag pencil with eigenvalues 1 and 1.002: the initial shift and the
     # nudged retry both make K - shift*M exactly singular
     n = 50
@@ -140,10 +157,17 @@ def test_shift_on_eigenvalue_exhausts_retries():
     M = sp.identity(n, format="csr", dtype=complex)
     sys = AssembledSystem(K=K, M=M, d=1, N_free=n, is_hermitian=True,
                           mesh_h=0.1)
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
     with pytest.raises(ShiftTooCloseToEigenvalue):
-        solve_spectrum(sys, 5, shift=1.0, dense_cutoff=0)
+        solve_spectrum(sys, 5, shift=1.0)
 
 
-def test_arnoldi_iteration_cap(sys3):
+def test_arnoldi_iteration_cap(sys3, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("iteration cap reached", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spla, "eigsh", stalled)
     with pytest.raises(SolverNotConverged):
-        solve_spectrum(sys3, 6, shift=0.05, dense_cutoff=0, maxiter=1)
+        solve_spectrum(sys3, 6, shift=0.05)
