@@ -4,7 +4,8 @@ The CLI maps failures onto its documented exit codes by class:
 ValidationError (and ValueError) exits 2 for validation problems (bad
 input, bad config, violated preconditions); any other TracebenchError
 exits 3 for numerical failures (solver or quadrature did not converge,
-truncation not justified, a class word off its matrix).
+truncation not justified, enumeration did not finish, a class word off
+its matrix).
 """
 
 
@@ -74,6 +75,11 @@ class ShiftTooCloseToEigenvalue(TracebenchError):
 
 class TruncationNotJustified(TracebenchError):
     """Spectral sum cut off before the test function decayed enough."""
+
+
+class EnumerationFailed(TracebenchError):
+    """Class enumeration could not finish: an axis pull did not settle,
+    or two distinct ball elements shared a key hash."""
 
 
 class ClassWordMismatch(TracebenchError):

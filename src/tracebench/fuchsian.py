@@ -32,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassWordMismatch, CutoffTooLarge, NotHyperbolic
+from .errors import (
+    ClassWordMismatch,
+    CutoffTooLarge,
+    EnumerationFailed,
+    NotHyperbolic,
+)
 from .hyperbolic import (
     axis_dist_to_origin,
     axis_foot,
@@ -71,12 +76,21 @@ RELATOR: Word = (1, 2, -1, -2, 3, 4, -3, -4)
 # Exact word arithmetic in Z[zeta8] (ROADMAP item 2) is what lifts it.
 L_MAX_CAP = 7.25
 
-# Absolute rounding cell for matrix-entry hashing.  Distinct elements in the
+# Absolute rounding cell for matrix-entry keys.  Distinct elements in the
 # balls we enumerate are separated by >> 1e-4 in max norm (the separation
 # scales like 1/max-entry, and entries stay below ~2e4 for L_max <= 12),
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
-# identify equal elements and never merge distinct ones.
+# identify equal elements and never merge distinct ones.  The four integer
+# keys of a matrix are deduped as one row (`_KeySet`): a uint64 hash sorts
+# and matches rows, and rows sharing a hash must agree in all four keys.
 _KEY_SCALE = 1e-6
+
+# multipliers of the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA
+# 2014), the mixing step of the row hash
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+# greedy axis-pull steps before enumeration gives up
+_PULL_STEPS = 400
 
 
 def free_reduce(letters) -> Word:
@@ -200,6 +214,65 @@ def _round_keys(mats: np.ndarray) -> np.ndarray:
     return np.round(mats.reshape(-1, 4) / _KEY_SCALE).astype(np.int64)
 
 
+def _key_hash(keys: np.ndarray) -> np.ndarray:
+    """uint64 hash of each (4,) int64 key row.  Each step mixes one more key
+    in by a bijection of uint64, so rows differing in one key never collide."""
+    k = keys.view(np.uint64)
+    h = np.zeros(k.shape[0], dtype=np.uint64)
+    for j in range(4):
+        h = h ^ k[:, j]
+        h = (h ^ (h >> 30)) * _MIX[0]
+        h = (h ^ (h >> 27)) * _MIX[1]
+        h = h ^ (h >> 31)
+    return h
+
+
+class _KeySet:
+    """Set of (4,) integer key rows, found by a sorted array of their hashes.
+
+    Two rows are the same element only when all four keys are equal.  A
+    hash shared by rows that differ anywhere raises EnumerationFailed, so
+    distinct elements are never merged.
+    """
+
+    def __init__(self):
+        self.hashes = np.empty(0, dtype=np.uint64)     # ascending
+        self.ids = np.empty(0, dtype=np.int64)         # row of each hash
+        self.rows = np.empty((0, 4), dtype=np.int64)   # in insertion order
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Insert the rows of `keys` not yet in the set.  Returns the index
+        of the first occurrence of each inserted row, ascending."""
+        h = _key_hash(keys)
+        order = np.argsort(h)
+        hs = h[order]
+        lead = np.ones(hs.size, dtype=bool)            # starts a run of one hash
+        lead[1:] = hs[1:] != hs[:-1]
+        # the first occurrence of a hash is the least index in its run
+        first = np.minimum.reduceat(order, np.flatnonzero(lead))
+        _check_same_rows(keys[order], keys[first[np.cumsum(lead) - 1]])
+        uh = hs[lead]
+        pos = np.searchsorted(self.hashes, uh)
+        hit = pos < self.hashes.size
+        hit[hit] = self.hashes[pos[hit]] == uh[hit]
+        _check_same_rows(keys[first[hit]], self.rows[self.ids[pos[hit]]])
+        new = ~hit
+        ids = self.rows.shape[0] + np.arange(np.count_nonzero(new))
+        self.hashes = np.insert(self.hashes, pos[new], uh[new])
+        self.ids = np.insert(self.ids, pos[new], ids)
+        self.rows = np.concatenate([self.rows, keys[first[new]]])
+        return np.sort(first[new])
+
+
+def _check_same_rows(a: np.ndarray, b: np.ndarray) -> None:
+    differ = np.any(a != b, axis=1)
+    if np.any(differ):
+        raise EnumerationFailed(
+            "%d distinct key rows share a hash, first %s and %s"
+            % (int(differ.sum()), a[differ][0].tolist(), b[differ][0].tolist())
+        )
+
+
 def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
     """All group elements with displacement <= r_prune, by breadth-first search
     over the side pairings.  Returns (mats, disp, parent, letter, kept_mask);
@@ -214,38 +287,45 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
             "projected ~%d elements exceeds budget %d" % (int(projected), budget)
         )
 
-    mats = [np.eye(2)[None]]
+    identity = np.eye(2)[None]
+    mats = [identity]
     disp = [np.zeros(1)]
     parent = [np.array([-1], dtype=np.int64)]
     letter = [np.array([-1], dtype=np.int8)]
-    seen = {_round_keys(np.eye(2)[None])[0].tobytes()}
+    seen = _KeySet()
+    seen.add(_round_keys(identity))
     total = 1
+    # displacement <= r  <=>  |beta|^2 <= tanh(r/2)^2 |alpha|^2, which does
+    # not depend on the scale of the matrix, so the raw float64 product
+    # pre-filters the children; the 1e-6 margin covers rounding, and the
+    # survivors take the exact test after renormalization
+    q2_max = np.tanh((r_prune + 1e-6) / 2.0) ** 2
+    p = pairings.reshape(1, 8, 4)
 
     while True:
-        f = mats[-1]                               # the frontier, (n, 2, 2)
+        f = mats[-1].reshape(-1, 1, 4)             # the frontier, (n, 1, 4)
         n = f.shape[0]
-        child = np.einsum("nij,kjl->nkil", f, pairings).reshape(-1, 2, 2)
+        # entries of frontier[i] @ pairings[k] at flat index 8 i + k
+        a = (f[..., 0] * p[..., 0] + f[..., 1] * p[..., 2]).ravel()
+        b = (f[..., 0] * p[..., 1] + f[..., 1] * p[..., 3]).ravel()
+        c = (f[..., 2] * p[..., 0] + f[..., 3] * p[..., 2]).ravel()
+        d = (f[..., 2] * p[..., 1] + f[..., 3] * p[..., 3]).ravel()
+        beta2 = (a - d) ** 2 + (b + c) ** 2                # 4 |beta|^2
+        alpha2 = (a + d) ** 2 + (b - c) ** 2               # 4 |alpha|^2
+        near = np.flatnonzero(beta2 <= q2_max * alpha2)
+        child = np.stack([a[near], b[near], c[near], d[near]], axis=1).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
         cdisp = displacement(child)
         ok = cdisp <= r_prune
-        child, cdisp = child[ok], cdisp[ok]
-        cparent = np.repeat(np.arange(total - n, total), 8)[ok]
-        cletter = np.tile(np.arange(8, dtype=np.int8), n)[ok]
+        near, child, cdisp = near[ok], child[ok], cdisp[ok]
 
-        keys = _round_keys(child)
-        fresh = []
-        for i in range(child.shape[0]):
-            kb = keys[i].tobytes()
-            if kb not in seen:
-                seen.add(kb)
-                fresh.append(i)
-        if not fresh:
+        fresh = seen.add(_round_keys(child))
+        if fresh.size == 0:
             break
-        fresh = np.asarray(fresh)
         mats.append(child[fresh])
         disp.append(cdisp[fresh])
-        parent.append(cparent[fresh])
-        letter.append(cletter[fresh])
+        parent.append(total - n + near[fresh] // 8)
+        letter.append((near[fresh] % 8).astype(np.int8))
         total += fresh.size
         if total > budget:
             raise CutoffTooLarge("enumeration exceeded budget %d elements" % budget)
@@ -257,6 +337,17 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
         np.concatenate(parent),
         np.concatenate(letter),
         disp <= r_keep,
+    )
+
+
+def _conjugate(a: np.ndarray, m: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """a @ m @ a_inv over broadcast batches of 2x2 matrices.  The terms are
+    summed over (j, k) in row-major order, as numpy.einsum sums them, which
+    keeps class representatives and lengths.csv the same bit for bit."""
+    return sum(
+        a[..., :, j, None] * m[..., j, k, None, None] * a_inv[..., None, k, :]
+        for j in (0, 1)
+        for k in (0, 1)
     )
 
 
@@ -293,7 +384,7 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
     words = [[] for _ in range(n)]
     pinv = mat_inv(pairings)
     active = np.arange(n)
-    for _ in range(400):
+    for _ in range(_PULL_STEPS):
         if active.size == 0:
             break
         feet = axis_foot(cur[active])
@@ -308,13 +399,16 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
         sel = active[improve]
         bsel = best[improve]
         cur[sel] = canonical_sign(
-            renormalize(np.einsum("nij,njk,nkl->nil", pairings[bsel], cur[sel], pinv[bsel]))
+            renormalize(_conjugate(pairings[bsel], cur[sel], pinv[bsel]))
         )
         for j, k in zip(sel, bsel):
             words[j].insert(0, int(k))
         active = sel
     else:
-        raise AssertionError("axis pull failed to terminate")
+        raise EnumerationFailed(
+            "axis pull of %d elements did not settle in %d steps"
+            % (active.size, _PULL_STEPS)
+        )
     return cur, words
 
 
@@ -326,8 +420,13 @@ def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.
     of their rounded entries.  Returns (canonical matrix, key, index of
     the chosen conjugator in delta).
     """
-    conj = np.einsum("nij,jk,nkl->nil", delta, pulled, delta_inv)
-    conj = canonical_sign(renormalize(conj))
+    conj = _conjugate(delta, pulled, delta_inv)
+    # axis distances of the raw products differ from the renormalized ones
+    # by < 3e-4 up to L_MAX_CAP, so only conjugates within 0.1 + 1e-2 of
+    # the raw minimum can be candidates; just those are renormalized
+    raw = axis_dist_to_origin(conj)
+    near = np.flatnonzero(raw <= raw.min() + 0.11)
+    conj = canonical_sign(renormalize(conj[near]))
     dist = axis_dist_to_origin(conj)
     dmin = dist.min()
     cand_idx = np.nonzero(dist <= dmin + 0.1)[0]
@@ -336,7 +435,7 @@ def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.
     best = cand_idx[order[0]]
     ell = float(translation_length(conj[best]))
     key = (int(round(ell / _KEY_SCALE)),) + tuple(int(v) for v in ent[order[0]])
-    return conj[best], key, int(best)
+    return conj[best], key, int(near[best])
 
 
 def _matrix_root(m: np.ndarray, k: int) -> np.ndarray:
@@ -381,11 +480,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
     pulled, pull_words = _pull_axes(mats[cand_idx], g.pairings)
 
     # collapse identical pulled forms before the expensive canonical search
-    pkeys = _round_keys(pulled)
-    uniq: dict = {}
-    for i in range(pulled.shape[0]):
-        uniq.setdefault(pkeys[i].tobytes(), i)
-    reps = sorted(uniq.values())
+    reps = _KeySet().add(_round_keys(pulled))
 
     d_rad = L_max / 2.0 + 2.0 * R + 0.7
     delta_idx = np.nonzero(disp <= d_rad)[0]

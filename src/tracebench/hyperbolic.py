@@ -25,17 +25,23 @@ def renormalize(m: np.ndarray) -> np.ndarray:
 
     Products of unit-determinant matrices drift away from det 1 in floating
     point; every multiplication below goes through this.  The determinant
-    is computed in extended precision: for entries of size ~1e4 the ad - bc
-    cancellation would otherwise contaminate the normalized entries at the
-    1e-8 level, which wrecks hash-based element deduplication.  Raises if
-    the determinant is not positive (we only deal with PSL(2,R)).
+    and the division run in extended precision on the flat (n, 4) entries,
+    and only the result is rounded to float64, straight into the output:
+    for entries of size ~1e4 the ad - bc cancellation would otherwise
+    contaminate the normalized entries at the 1e-8 level, enough to split
+    one group element across two of the 1e-6 rounding cells whose integer
+    rows ball enumeration dedupes on (`fuchsian._KeySet`).  Raises if the
+    determinant is not positive (we only deal with PSL(2,R)).
     """
     m = np.asarray(m, dtype=float)
-    mx = m.astype(np.longdouble)
-    det = mx[..., 0, 0] * mx[..., 1, 1] - mx[..., 0, 1] * mx[..., 1, 0]
+    flat = m.reshape(-1, 4)
+    a, b, c, d = (flat[:, j].astype(np.longdouble) for j in range(4))
+    det = a * d - b * c
     if np.any(det <= 0):
         raise ValueError("matrix determinant must be positive in PSL(2,R)")
-    return (mx / np.sqrt(det)[..., None, None]).astype(float)
+    out = np.empty(m.shape)                 # C order, so the reshape is a view
+    np.divide(flat, np.sqrt(det)[:, None], out=out.reshape(-1, 4), casting="same_kind")
+    return out
 
 
 def canonical_sign(m: np.ndarray) -> np.ndarray:

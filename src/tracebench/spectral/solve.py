@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from ..errors import ShiftTooCloseToEigenvalue, SolverNotConverged
 from .assemble import AssembledSystem
@@ -70,10 +69,10 @@ def _sparse_eig(K, M, count, shift, hermitian: bool):
             )
             nu, v = spla.eigs(op, k=count, v0=v0)
             return sigma + 1.0 / nu, v
-        except ArpackNoConvergence as exc:
-            raise SolverNotConverged(
-                "Arnoldi iteration did not converge (%s)" % exc
-            ) from exc
+        except spla.ArpackError as exc:
+            # every ARPACK failure, no convergence included; a singular
+            # factor raises a plain RuntimeError, handled below
+            raise SolverNotConverged("ARPACK failed: %s" % exc) from exc
         except RuntimeError as exc:
             # shift-invert factorization hit a (near-)singular pivot;
             # retry once with a nudged shift before giving up

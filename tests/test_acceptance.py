@@ -80,6 +80,7 @@ def spec_unit(group, mesh5):
     return solve_spectrum(sys, 600)
 
 
+@pytest.mark.slow
 def test_criterion_1_trace_residual_trivial(group, classes_L6, spec900, timings):
     r = character_rep((1, 1, 1, 1))
     t0 = time.time()
@@ -97,6 +98,7 @@ def test_criterion_1_trace_residual_trivial(group, classes_L6, spec900, timings)
     assert elapsed <= 900
 
 
+@pytest.mark.slow
 def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
     r = character_rep((np.exp(0.3), 1, 1, 1))
     lam = _flat(spec_e03)
@@ -120,6 +122,7 @@ def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
     assert all(q <= 1e-6 for q in im_fracs), line
 
 
+@pytest.mark.slow
 def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
     r = character_rep((np.exp(1j * np.pi / 3), 1, 1, 1))
     lam = _flat(spec_unit)
@@ -137,6 +140,7 @@ def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
     assert all(q <= THRESHOLD for q in rels), line
 
 
+@pytest.mark.slow
 def test_criterion_4_weyl_law(group, spec900):
     lam_top = np.abs(_flat(spec900)).max()
     trusted = lam_top / 3.0
@@ -268,6 +272,7 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
         assert val <= tol, "%s: %s" % (name, line)
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence(group, classes_L6, spec900):
     r = character_rep((1, 1, 1, 1))
     f = TestFunction(T=4.0, k=2)

@@ -8,7 +8,9 @@ The expected values here are produced by two independent routes:
   shares the ball-generation alphabet with the implementation (the side
   pairings, for which the prefix-pruning bound is provable) but none of
   the canonicalization machinery: classes are merged by literally
-  conjugating with every ball element and matching hash keys.  The ball
+  conjugating with every ball element and matching hash keys.  Its ball
+  comes from a per-element reference search (`_reference_ball`), which
+  the vectorized `_bfs_ball` must reproduce bit for bit.  The ball
   is inverse-closed, so the oracle counts the two orientations of each
   geodesic separately; count agreement checks that contract too.
 """
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebench import fuchsian
-from tracebench.errors import ClassWordMismatch, CutoffTooLarge
+from tracebench.errors import ClassWordMismatch, CutoffTooLarge, EnumerationFailed
 from tracebench.fuchsian import (
     RELATOR,
     bolza_preset,
@@ -31,6 +33,7 @@ from tracebench.fuchsian import (
     word_inverse,
 )
 from tracebench.hyperbolic import (
+    axis_dist_to_origin,
     canonical_sign,
     displacement,
     mat_inv,
@@ -201,23 +204,34 @@ def test_word_check_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
 # --- brute-force oracle ---
 
 
-def _oracle_classes(group, L):
-    """Conjugacy classes with length <= L by exhaustive orbit matching."""
+def _keys(m):
+    return np.round(m.reshape(-1, 4) / 1e-6).astype(np.int64)
+
+
+def _reference_ball(group, L):
+    """The element ball of `enumerate_classes` at cutoff L, by breadth-first
+    search with a per-element set of key bytes.  Returns (mats, disp,
+    parent, letter, kept) in the order and dtypes of `_bfs_ball`."""
     gens = group.pairings
     r_keep = L + 2 * group.circumradius + 0.5
     r_prune = r_keep + group.circumradius
 
-    def keys(m):
-        return np.round(m.reshape(-1, 4) / 1e-6).astype(np.int64)
-
     frontier = np.eye(2)[None]
-    seen = {keys(frontier)[0].tobytes()}
-    ball = [frontier]
+    seen = {_keys(frontier)[0].tobytes()}
+    ball, disp = [frontier], [np.zeros(1)]
+    parent = [np.array([-1], dtype=np.int64)]
+    letter = [np.array([-1], dtype=np.int8)]
+    total = 1
     while frontier.size:
+        n = frontier.shape[0]
         child = np.einsum("nij,kjl->nkil", frontier, gens).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
-        child = child[displacement(child) <= r_prune]
-        kk = keys(child)
+        cdisp = displacement(child)
+        ok = cdisp <= r_prune
+        cparent = np.repeat(np.arange(total - n, total), 8)[ok]
+        cletter = np.tile(np.arange(8, dtype=np.int8), n)[ok]
+        child, cdisp = child[ok], cdisp[ok]
+        kk = _keys(child)
         fresh = []
         for i in range(child.shape[0]):
             b = kk[i].tobytes()
@@ -226,19 +240,30 @@ def _oracle_classes(group, L):
                 fresh.append(i)
         if not fresh:
             break
-        frontier = child[np.array(fresh)]
+        fresh = np.array(fresh)
+        frontier = child[fresh]
         ball.append(frontier)
-    ball = np.concatenate(ball)
-    disp = displacement(ball)
+        disp.append(cdisp[fresh])
+        parent.append(cparent[fresh])
+        letter.append(cletter[fresh])
+        total += fresh.size
+    disp = np.concatenate(disp)
+    return (np.concatenate(ball), disp, np.concatenate(parent),
+            np.concatenate(letter), disp <= r_keep)
+
+
+def _oracle_classes(group, L):
+    """Conjugacy classes with length <= L by exhaustive orbit matching."""
+    ball, _, _, _, r_kept = _reference_ball(group, L)
 
     tr = np.abs(trace(ball))
-    ok = (tr > 2 + 1e-10) & (disp <= r_keep)
+    ok = (tr > 2 + 1e-10) & r_kept
     ok &= 2 * np.arccosh(np.maximum(tr / 2, 1)) <= L + 1e-9
     members = ball[ok]
-    conj = ball[disp <= r_keep]
+    conj = ball[r_kept]
     conj_inv = mat_inv(conj)
 
-    member_key = {keys(members)[i].tobytes(): i for i in range(members.shape[0])}
+    member_key = {_keys(members)[i].tobytes(): i for i in range(members.shape[0])}
     assigned = {}
     reps = []
     for i in range(members.shape[0]):
@@ -247,7 +272,7 @@ def _oracle_classes(group, L):
         orbit = np.einsum("nij,jk,nkl->nil", conj, members[i], conj_inv)
         orbit = canonical_sign(renormalize(orbit))
         hits = set()
-        for key in keys(orbit):
+        for key in _keys(orbit):
             j = member_key.get(key.tobytes())
             if j is not None:
                 hits.add(j)
@@ -258,6 +283,88 @@ def _oracle_classes(group, L):
     # ball was too small and the class count would be inflated
     assert len(assigned) == members.shape[0]
     return reps
+
+
+def _ball(group, L):
+    r_keep = L + 2 * group.circumradius + 0.5
+    return fuchsian._bfs_ball(
+        group.pairings, r_keep, r_keep + group.circumradius, 6_000_000
+    )
+
+
+@pytest.mark.parametrize("L", [4.0, 5.0])
+def test_ball_matches_reference(group, L):
+    # same elements, order, words and flags, bit for bit
+    got = _ball(group, L)
+    want = _reference_ball(group, L)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def _reference_canonical(pulled, delta, delta_inv):
+    """Canonical conjugate of one pulled element, every conjugate exact."""
+    conj = np.einsum("nij,jk,nkl->nil", delta, pulled, delta_inv)
+    conj = canonical_sign(renormalize(conj))
+    dist = axis_dist_to_origin(conj)
+    cand = np.nonzero(dist <= dist.min() + 0.1)[0]
+    ent = _keys(conj[cand])
+    best = cand[np.lexsort(ent.T[::-1])[0]]
+    return conj[best], int(best)
+
+
+def test_canonical_search_matches_full_search(group):
+    # the search renormalizes only conjugates near the raw minimum; it must
+    # pick the same conjugator, and the same bits, as renormalizing them all
+    L = 6.0
+    mats, disp, _, _, kept = _ball(group, L)
+    tr = np.abs(trace(mats))
+    cand = kept & (tr > 2 + 1e-9) & (tr <= 2 * np.cosh(L / 2))
+    pulled, _ = fuchsian._pull_axes(mats[cand][::8], group.pairings)
+    delta = mats[disp <= L / 2 + 2 * group.circumradius + 0.7]
+    delta_inv = mat_inv(delta)
+    assert pulled.shape[0] > 200
+    for p in pulled:
+        got, _, gi = fuchsian._canonical_from_pulled(p, delta, delta_inv)
+        want, wi = _reference_canonical(p, delta, delta_inv)
+        assert gi == wi
+        assert np.array_equal(got, want)
+
+
+def test_hash_collisions_never_merge_elements(group, monkeypatch):
+    # every row hashes alike: distinct elements must raise, not merge
+    monkeypatch.setattr(
+        fuchsian, "_key_hash", lambda k: np.zeros(k.shape[0], dtype=np.uint64)
+    )
+    with pytest.raises(EnumerationFailed, match="distinct key rows share a hash"):
+        _ball(group, 1.0)
+
+
+def test_key_set_keeps_first_occurrences():
+    rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4], [0, 0, 0, 1]])
+    ks = fuchsian._KeySet()
+    assert ks.add(rows).tolist() == [0, 1, 3]
+    assert ks.add(rows[::-1]).tolist() == []
+    assert ks.add(np.array([[0, 0, 0, 2], [5, 6, 7, 8]])).tolist() == [0]
+    assert ks.hashes.size == 4
+
+
+def test_axis_pull_cap_raises_typed_error(group, monkeypatch):
+    monkeypatch.setattr(fuchsian, "_PULL_STEPS", 1)
+    with pytest.raises(EnumerationFailed, match="did not settle in 1 steps"):
+        enumerate_classes(group, 3.5)
+
+
+def test_axis_pull_cap_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
+    from tracebench.workbench import cli
+
+    monkeypatch.setattr(fuchsian, "bolza_preset", lambda: group)
+    monkeypatch.setattr(fuchsian, "_PULL_STEPS", 1)
+    conf = tmp_path / "short.ini"
+    conf.write_text("[run]\nL_max = 3.5\n")
+    code = cli.main(["--config", str(conf), "--out", str(tmp_path), "enumerate"])
+    assert code == 3
+    assert "did not settle" in capsys.readouterr().err
 
 
 def test_enumeration_matches_bruteforce_oracle(group):

@@ -114,6 +114,17 @@ def test_renormalize_extended_precision():
     assert np.max(np.abs(out - m)) < 1e-11 * np.max(np.abs(m))
 
 
+def test_renormalize_matches_per_matrix_in_any_layout(rng):
+    # the batch is scaled entry by entry in extended precision, whatever
+    # the memory order of the input; each matrix alone gives the same bits
+    m = rng.normal(size=(6, 2, 2)) + 3.0 * np.eye(2)
+    for batch in (m, m.transpose(0, 2, 1), np.asfortranarray(m), m[::2]):
+        one = np.stack([renormalize(x) for x in batch])
+        assert np.array_equal(renormalize(batch), one)
+        det = one[:, 0, 0] * one[:, 1, 1] - one[:, 0, 1] * one[:, 1, 0]
+        assert np.allclose(det, 1.0, atol=1e-14)
+
+
 def test_renormalize_rejects_nonpositive_det():
     with pytest.raises(ValueError):
         renormalize(np.array([[1.0, 2.0], [2.0, 1.0]]))  # det = -3

@@ -171,3 +171,20 @@ def test_arnoldi_iteration_cap(sys3, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", stalled)
     with pytest.raises(SolverNotConverged):
         solve_spectrum(sys3, 6, shift=0.05)
+
+
+@pytest.mark.parametrize("routine", ["eigsh", "eigs"])
+def test_arpack_error_is_not_a_shift_failure(group, routine, monkeypatch):
+    # an ARPACK failure other than no convergence must not be retried with
+    # a nudged shift and then blamed on the shift
+    def failed(*args, **kwargs):
+        raise spla.ArpackError(3, {3: "No shifts could be applied"})
+
+    hermitian = routine == "eigsh"
+    r = character_rep((1 if hermitian else np.e, 1, 1, 1))
+    sys = assemble(build_octagon_mesh(2, group), r)
+    assert sys.is_hermitian == hermitian
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spla, routine, failed)
+    with pytest.raises(SolverNotConverged, match="No shifts could be applied"):
+        solve_spectrum(sys, 6)
