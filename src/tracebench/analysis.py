@@ -4,8 +4,9 @@ The transform convention is the symmetric cosine pair
 
     phi(lam) = (1/sqrt(2*pi)) * integral phihat(t) cos(t*lam) dt,
 
-which is involutive on even functions; fourier_roundtrip checks that we
-did not silently mix conventions anywhere.
+which is involutive on even functions; the test suite's round trip
+(`fourier_roundtrip` in tests/reference.py) checks that we did not
+silently mix conventions anywhere.
 
 The spectral density used by the identity term is
 
@@ -211,36 +212,3 @@ def identity_term(f: TestFunction, d: int, vol: float, diagnostics=None) -> floa
         diagnostics["half_line_integral"] = total
     return result
 
-
-def fourier_roundtrip(f: TestFunction) -> float:
-    """Worst reconstruction error of phihat over a fixed 64-point grid.
-
-    Applies the same cosine transform to phi (the convention is its own
-    inverse on even functions) and compares against f.hat.
-    """
-    tgrid = np.linspace(-f.T, f.T, 64)
-    x, w = _gauss_nodes(64)
-    # integrate phi(lam) cos(t lam) out to where phi has decayed; extend
-    # segments until the last one stops mattering
-    total = np.zeros_like(tgrid)
-    lo = 0.0
-    seg = max(4.0 / f.T, 2.0)
-    for _ in range(60):
-        hi = lo + seg
-        mid, half = 0.5 * (lo + hi), 0.5 * seg
-        nodes = mid + half * x
-        phis = _phi_many(f, nodes).real
-        piece = (2.0 / _SQRT_2PI) * np.sum(
-            (half * w * phis)[None, :] * np.cos(tgrid[:, None] * nodes[None, :]),
-            axis=1,
-        )
-        total += piece
-        worst_piece = float(np.max(np.abs(piece)))
-        if worst_piece <= 1e-12 * max(float(np.max(np.abs(total))), 1e-300) + 1e-14:
-            break
-        lo = hi
-        # widen slowly; 64 nodes must keep resolving cos(T*lam)
-        seg = min(seg * 1.3, 10.0)
-    else:
-        raise QuadratureNotConverged("roundtrip tail did not settle")
-    return float(np.max(np.abs(total - f.hat(tgrid))))

@@ -28,7 +28,7 @@ class NotHyperbolic(ValidationError):
 
 
 class CutoffTooLarge(ValidationError):
-    """Projected enumeration size exceeds the configured element budget."""
+    """Projected enumeration size exceeds the fixed element budget."""
 
 
 class RelatorViolation(ValidationError):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -91,6 +92,10 @@ _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 # greedy axis-pull steps before enumeration gives up
 _PULL_STEPS = 400
+
+# Most ball elements enumeration may visit.  At L_MAX_CAP the projection
+# is about 1.35 M, so this only fires once the cap is raised.
+_BUDGET = 6_000_000
 
 
 def free_reduce(letters) -> Word:
@@ -273,7 +278,7 @@ def _check_same_rows(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
+def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float):
     """All group elements with displacement <= r_prune, by breadth-first search
     over the side pairings.  Returns (mats, disp, parent, letter, kept_mask);
     parent/letter chains reconstruct side-pairing words.  Exploring to
@@ -282,9 +287,9 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
     disp(gamma) + circumradius of the basepoint).
     """
     projected = 1.5 * (np.cosh(r_prune) - 1.0) / 2.0 + 100.0
-    if projected > budget:
+    if projected > _BUDGET:
         raise CutoffTooLarge(
-            "projected ~%d elements exceeds budget %d" % (int(projected), budget)
+            "projected ~%d elements exceeds budget %d" % (int(projected), _BUDGET)
         )
 
     identity = np.eye(2)[None]
@@ -327,8 +332,8 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float, budget: int):
         parent.append(total - n + near[fresh] // 8)
         letter.append((near[fresh] % 8).astype(np.int8))
         total += fresh.size
-        if total > budget:
-            raise CutoffTooLarge("enumeration exceeded budget %d elements" % budget)
+        if total > _BUDGET:
+            raise CutoffTooLarge("enumeration exceeded budget %d elements" % _BUDGET)
 
     disp = np.concatenate(disp)
     return (
@@ -453,7 +458,7 @@ def _matrix_root(m: np.ndarray, k: int) -> np.ndarray:
     return canonical_sign(renormalize(root_mu * P + (1.0 / root_mu) * Q))
 
 
-def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
+def enumerate_classes(g: SurfaceGroup, L_max: float):
     """One canonical representative per nontrivial conjugacy class with
     geodesic length <= L_max, sorted by (length, trace, word)."""
     if not (0.0 < L_max <= L_MAX_CAP):
@@ -465,7 +470,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
     R = g.circumradius
     r_keep = L_max + 2.0 * R + 0.5
     r_prune = r_keep + R
-    mats, disp, parent, letter, kept = _bfs_ball(g.pairings, r_keep, r_prune, budget)
+    mats, disp, parent, letter, kept = _bfs_ball(g.pairings, r_keep, r_prune)
 
     tr_all = np.abs(trace(mats))
     max_tr = 2.0 * np.cosh(L_max / 2.0)
@@ -500,16 +505,13 @@ def enumerate_classes(g: SurfaceGroup, L_max: float, budget: int = 6_000_000):
         rep_word = _side_letters_to_pres(conj + w_gamma + inv_conj)
         classes[key] = (cmat, rep_word)
 
-    # tolerance merge: rounding can split one class across adjacent cells
-    items = sorted(classes.items(), key=lambda kv: kv[0])
+    # tolerance merge: rounding can split one class across adjacent cells.
+    # A class matches a merged one within 5 length cells and 1e-5 in its
+    # entries; keys ascend, so scan back until 5 cells below the key.
     merged = []
-    for key, (cmat, w) in items:
-        dup = False
-        for key2, (cmat2, _w2) in merged:
-            if abs(key[0] - key2[0]) * _KEY_SCALE <= 5e-6 and psl_close(cmat, cmat2, 1e-5):
-                dup = True
-                break
-        if not dup:
+    for key, (cmat, w) in sorted(classes.items(), key=lambda kv: kv[0]):
+        near = takewhile(lambda kv: key[0] - kv[0][0] <= 5, reversed(merged))
+        if not any(psl_close(cmat, cmat2, 1e-5) for _, (cmat2, _w) in near):
             merged.append((key, (cmat, w)))
 
     # assemble ConjugacyClass records; the power is the largest k whose

@@ -18,16 +18,16 @@ from .fuchsian import RELATOR, ConjugacyClass
 
 _GENERATOR_COUNT = 4
 _DET_FLOOR = 1e-12
-_COND_CEIL = 1e12
-_RELATOR_TOL = 1e-8  # the one relator gate, shared with assembly
+_RELATOR_TOL = 1e-8  # the one relator gate, in Representation
 
 
 @dataclass(frozen=True, eq=False)  # by identity: ndarray == is elementwise
 class Representation:
     """Images of a1, b1, a2, b2; everything else is derived from them.
 
-    Building one does not gate the relator: `from_generator_images` does,
-    and assembly checks `relator_residual` against the same bound.
+    Building one checks the relator: a `relator_residual` above
+    _RELATOR_TOL raises RelatorViolation, so every representation the
+    pipeline sees satisfies [a1,b1][a2,b2] = 1.
     """
 
     images: np.ndarray  # (4, d, d) complex
@@ -50,6 +50,11 @@ class Representation:
         object.__setattr__(self, "_images_inv", inv)
         residual = np.max(np.abs(_word_image(self, RELATOR) - np.eye(self.dim)))
         object.__setattr__(self, "relator_residual", float(residual))
+        if self.relator_residual > _RELATOR_TOL:
+            raise RelatorViolation(
+                "relator residual %.3e exceeds tol %.3e"
+                % (self.relator_residual, _RELATOR_TOL)
+            )
 
 
 def _word_image(r: Representation, w) -> np.ndarray:
@@ -68,6 +73,7 @@ def _word_image(r: Representation, w) -> np.ndarray:
 
 
 def from_generator_images(images) -> Representation:
+    """Representation from four square, finite, nonsingular images."""
     mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in images]
     if len(mats) != _GENERATOR_COUNT:
         raise ValueError("need 4 generator images, got %d" % len(mats))
@@ -79,13 +85,7 @@ def from_generator_images(images) -> Representation:
             raise ValueError("generator images must be finite")
         if abs(np.linalg.det(m)) < _DET_FLOOR:
             raise SingularImage("generator image is numerically singular")
-    rep = Representation(np.stack(mats))
-    if rep.relator_residual > _RELATOR_TOL:
-        raise RelatorViolation(
-            "relator residual %.3e exceeds tol %.3e"
-            % (rep.relator_residual, _RELATOR_TOL)
-        )
-    return rep
+    return Representation(np.stack(mats))
 
 
 def character_rep(z) -> Representation:
@@ -120,21 +120,6 @@ def unitarity_defect(r: Representation) -> float:
     return float(
         max(np.max(np.abs(m.conj().T @ m - d)) for m in r.images)
     )
-
-
-def conjugate_rep(r: Representation) -> Representation:
-    return Representation(r.images.conj())
-
-
-def similar_rep(r: Representation, P) -> Representation:
-    P = np.atleast_2d(np.asarray(P, dtype=complex))
-    if P.shape != (r.dim, r.dim):
-        raise ValueError("P must be %dx%d" % (r.dim, r.dim))
-    cond = np.linalg.cond(P)
-    if not np.isfinite(cond) or cond > _COND_CEIL:
-        raise SingularImage("similarity transform condition %.3e too large" % cond)
-    Pinv = np.linalg.inv(P)
-    return Representation(np.stack([P @ m @ Pinv for m in r.images]))
 
 
 def rep_from_json(obj) -> Representation:

@@ -1,7 +1,7 @@
 from .mesh import OctagonMesh, build_octagon_mesh
 from .assemble import AssembledSystem, assemble
 from .solve import SpectrumResult, solve_spectrum
-from .side import spectral_side, weyl_counting
+from .side import spectral_side, weyl_counting, weyl_window
 
 __all__ = [
     "OctagonMesh",
@@ -12,4 +12,5 @@ __all__ = [
     "solve_spectrum",
     "spectral_side",
     "weyl_counting",
+    "weyl_window",
 ]

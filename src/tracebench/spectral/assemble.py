@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConstraintCycleInconsistent
-from ..reps import _RELATOR_TOL, Representation, _word_image, unitarity_defect
+from ..reps import Representation, _word_image, unitarity_defect
 from .mesh import OctagonMesh
 
 _UNITARY_EPS = 1e-12
@@ -139,11 +139,6 @@ def _identifications(mesh: OctagonMesh, r: Representation):
 
 
 def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
-    if r.relator_residual > _RELATOR_TOL:
-        raise ConstraintCycleInconsistent(
-            "relator residual %.3e too large for corner gluing"
-            % r.relator_residual
-        )
     K, M = _scalar_forms(mesh)
     factor, root_of = _identifications(mesh, r)
 

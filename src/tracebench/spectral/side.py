@@ -83,15 +83,21 @@ def spectral_side(spec, f: TestFunction, vol: float,
     return total
 
 
-def weyl_counting(spec, r_values, vol: float):
-    """Counting function N(r) = Sigma m over |lam| <= r vs d*vol*r/(4pi).
+def weyl_window(spec) -> float:
+    """Top of the trusted window [0, top] of the counting function.
 
     Only the lower third of the computed spectrum is trusted: above that
     the discretization error and the missing tail both distort N.
     """
+    return float(np.abs([lam for lam, _, _ in spec.eigenvalues]).max()) / 3.0
+
+
+def weyl_counting(spec, r_values, vol: float):
+    """Counting function N(r) = Sigma m over |lam| <= r vs d*vol*r/(4pi),
+    for r inside `weyl_window(spec)`."""
     lams = np.array([lam for lam, _, _ in spec.eigenvalues])
     mults = np.array([m for _, m, _ in spec.eigenvalues])
-    trusted = float(np.abs(lams).max()) / 3.0
+    trusted = weyl_window(spec)
     out = []
     for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
         if r < 0 or r > trusted:

@@ -4,13 +4,13 @@ Up to 8000 free dofs the dense path reduces K x = lam M x to an ordinary
 eigenproblem and runs the QR algorithm; a Hermitian pencil goes through
 the symmetric-definite reduction instead.  Either runs in real arithmetic
 when neither K nor M has a nonzero imaginary part.  Above 8000 dofs
-ARPACK runs in shift-invert mode from a fixed start vector.  A Hermitian
+ARPACK runs in shift-invert mode at 0 from a fixed start vector.  A Hermitian
 pencil uses ARPACK's generalized mode, which needs a Hermitian M.  The
 Petrov-Galerkin M of a non-unitary twist is not Hermitian, so that
 pencil runs in standard mode on (K - sigma M)^-1 M, whose eigenvalue nu
 gives lam = sigma + 1/nu (Ericsson & Ruhe, Math. Comp. 35, 1980).
 
-The requested number of eigenvalues nearest the shift is kept, sorted by
+The requested number of eigenvalues of least modulus is kept, sorted by
 (Re, Im), and only those are checked: each kept eigenvector is
 normalized to unit 2-norm, its pencil residual ||K x - lam M x||_2 must
 pass a relative gate, and the clusters of algebraic multiplicity carry
@@ -52,10 +52,10 @@ def _dense_eig(K, M, hermitian: bool):
     return sla.eig(sla.lu_solve(sla.lu_factor(Md), Kd))
 
 
-def _sparse_eig(K, M, count, shift, hermitian: bool):
+def _sparse_eig(K, M, count, hermitian: bool):
     n = K.shape[0]
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for reproducibility
-    sigma = complex(shift)
+    sigma = 0j
     last = None
     for _ in range(2):
         try:
@@ -99,9 +99,7 @@ def _cluster(vals: np.ndarray, res: np.ndarray):
     return tuple(out)
 
 
-def solve_spectrum(
-    sys: AssembledSystem, count: int, shift: complex = 0.0
-) -> SpectrumResult:
+def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
     if count < 1:
         raise ValueError("count must be positive")
     if count > sys.N_free // 4:
@@ -113,11 +111,10 @@ def solve_spectrum(
     if sys.N_free <= _DENSE_CUTOFF:
         w, v = _dense_eig(sys.K, sys.M, sys.is_hermitian)
     else:
-        w, v = _sparse_eig(sys.K, sys.M, count, shift, sys.is_hermitian)
+        w, v = _sparse_eig(sys.K, sys.M, count, sys.is_hermitian)
     w = w.astype(complex, copy=False)
 
-    dist = np.abs(w - shift)
-    order = np.lexsort((w.imag, w.real, dist))[:count]
+    order = np.lexsort((w.imag, w.real, np.abs(w)))[:count]
     keep = order[np.lexsort((w[order].imag, w[order].real))]
     vals, v = w[keep], v[:, keep].astype(complex, copy=False)
 

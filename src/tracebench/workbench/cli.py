@@ -98,7 +98,7 @@ def _ensure_classes(cfg, g, refresh: bool, no_compute: bool = False):
             "no usable length-spectrum cache at %s and --no-compute given"
             % path
         )
-    classes = enumerate_classes(g, cfg.L_max, budget=cfg.budget)
+    classes = enumerate_classes(g, cfg.L_max)
     io.write_csv(
         path,
         ("length", "trace", "power", "primitive_length", "word"),
@@ -188,14 +188,13 @@ def cmd_weyl(cfg, args) -> int:
     import numpy as np
 
     from ..fuchsian import bolza_preset
-    from ..spectral import weyl_counting
+    from ..spectral import weyl_counting, weyl_window
     from . import io
     from .verify import build_spectrum
 
     g = bolza_preset()
     spec = build_spectrum(cfg, g, cfg.representation)
-    lam_top = max(abs(lam) for lam, _, _ in spec.eigenvalues)
-    trusted = lam_top / 3.0
+    trusted = weyl_window(spec)
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
     rows = [
         (r, n, pred, n / pred)

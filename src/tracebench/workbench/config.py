@@ -1,10 +1,10 @@
 """Experiment configuration.
 
-A small INI dialect: one [run] section for the numeric knobs, one
-[representation] section, parsed straight into a `reps.Representation`,
-and any number of [test_function.NAME] sections, each parsed straight
-into an `analysis.TestFunction`.  Bad input fails at load, before any
-enumeration or solve.
+A small INI dialect: one [run] section with the six keys of `_RUN_KEYS`,
+one [representation] section, parsed straight into a
+`reps.Representation`, and any number of [test_function.NAME] sections,
+each parsed straight into an `analysis.TestFunction`.  Bad input fails at
+load, before any enumeration or solve.
 """
 
 from __future__ import annotations
@@ -22,8 +22,14 @@ from ..reps import Representation, character_rep, rep_from_json
 _PRESETS = ("bolza",)
 _REP_KEYS = {"character": "values", "file": "path"}  # kind -> its one key
 
-_RUN_KEYS = ("preset", "L_max", "level", "count", "shift", "threshold",
-             "budget", "out_dir")
+_RUN_KEYS = {  # key -> converter of its value
+    "preset": str.strip,
+    "L_max": float,
+    "level": int,
+    "count": int,
+    "threshold": float,
+    "out_dir": str.strip,
+}
 _TF_PREFIX = "test_function."
 
 
@@ -33,9 +39,7 @@ class ExperimentConfig:
     L_max: float = 6.0
     level: int = 4
     count: int = 300
-    shift: complex = 0j
     threshold: float = 0.05
-    budget: int = 6_000_000
     out_dir: str = "runs"
     rep_kind: str = "character"  # provenance label for the outputs
     representation: Representation = character_rep((1, 1, 1, 1))
@@ -98,8 +102,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("count must be positive")
     if not 0.0 < cfg.threshold <= 1.0:
         raise ConfigError("threshold must lie in (0, 1]")
-    if cfg.budget < 1000:
-        raise ConfigError("budget below any useful enumeration size")
     if not cfg.test_functions:
         raise ConfigError("at least one [test_function.NAME] section required")
     return cfg
@@ -115,26 +117,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     kw = {}
     if cp.has_section("run"):
-        run = cp["run"]
-        for key in run:
+        for key, value in cp["run"].items():
             if key not in _RUN_KEYS:
                 raise ConfigError("unknown [run] key %r" % key)
-        if "preset" in run:
-            kw["preset"] = run["preset"].strip()
-        if "L_max" in run:
-            kw["L_max"] = float(run["L_max"])
-        if "level" in run:
-            kw["level"] = int(run["level"])
-        if "count" in run:
-            kw["count"] = int(run["count"])
-        if "shift" in run:
-            kw["shift"] = _complex_of(run["shift"], "[run] shift")
-        if "threshold" in run:
-            kw["threshold"] = float(run["threshold"])
-        if "budget" in run:
-            kw["budget"] = int(run["budget"])
-        if "out_dir" in run:
-            kw["out_dir"] = run["out_dir"].strip()
+            try:
+                kw[key] = _RUN_KEYS[key](value)
+            except ValueError as exc:
+                raise ConfigError("[run] %s: %s" % (key, exc))
 
     if cp.has_section("representation"):
         kw["rep_kind"], kw["representation"] = _representation(

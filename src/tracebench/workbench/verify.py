@@ -36,7 +36,7 @@ class TraceReport:
 def build_spectrum(cfg: ExperimentConfig, g: SurfaceGroup, r: Representation):
     """Mesh, assemble and solve: the twisted spectrum of a configured run."""
     mesh = build_octagon_mesh(cfg.level, g)
-    return solve_spectrum(assemble(mesh, r), cfg.count, cfg.shift)
+    return solve_spectrum(assemble(mesh, r), cfg.count)
 
 
 def run_verify(

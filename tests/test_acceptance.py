@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import conjugate_rep, fourier_roundtrip, similar_rep
 from test_fuchsian import _SYSTOLE, _oracle_classes
 
-from tracebench.analysis import TestFunction, fourier_roundtrip, phi_at
+from tracebench.analysis import TestFunction, phi_at
 from tracebench.fuchsian import (
     enumerate_classes,
     evaluate_word,
@@ -22,19 +23,14 @@ from tracebench.fuchsian import (
     word_inverse,
 )
 from tracebench.geomside import geometric_side
-from tracebench.reps import (
-    character_rep,
-    conjugate_rep,
-    from_generator_images,
-    similar_rep,
-    trace_on_class,
-)
+from tracebench.reps import character_rep, from_generator_images, trace_on_class
 from tracebench.spectral import (
     assemble,
     build_octagon_mesh,
     solve_spectrum,
     spectral_side,
     weyl_counting,
+    weyl_window,
 )
 
 TS = (2.0, 4.0, 5.5)
@@ -142,8 +138,7 @@ def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
 
 @pytest.mark.slow
 def test_criterion_4_weyl_law(group, spec900):
-    lam_top = np.abs(_flat(spec900)).max()
-    trusted = lam_top / 3.0
+    trusted = weyl_window(spec900)
     rs = np.linspace(trusted / 3.0, 2.0 * trusted / 3.0, 11)
     ratios = [
         n / pred for _, n, pred in weyl_counting(spec900, rs, group.covolume)

@@ -12,13 +12,14 @@ import pytest
 from tracebench.analysis import (
     TestFunction,
     _phi_many,
-    fourier_roundtrip,
     identity_term,
     phi_at,
     phi_values,
     plancherel_density,
 )
 from tracebench.errors import ArgumentOutOfStrip, QuadratureNotConverged
+
+from reference import fourier_roundtrip
 
 
 def _oracle_phi(T, k, lams):

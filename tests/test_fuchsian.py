@@ -159,7 +159,7 @@ def test_power_detection(classes_L62):
     assert not _match_multisets(got, roots, 1e-12)
 
 
-def test_cutoff_guard(group):
+def test_cutoff_guard(group, monkeypatch):
     # precondition violations are ValueErrors; the budget guard is the
     # typed error so callers can distinguish "ask for less" from "bug"
     with pytest.raises(ValueError):
@@ -169,8 +169,22 @@ def test_cutoff_guard(group):
     # past 7.25 float64 words miss their matrices; rejected up front
     with pytest.raises(ValueError, match="exact word arithmetic"):
         enumerate_classes(group, 7.5)
+    monkeypatch.setattr(fuchsian, "_BUDGET", 1000)
     with pytest.raises(CutoffTooLarge):
-        enumerate_classes(group, 6.0, budget=1000)
+        enumerate_classes(group, 6.0)
+
+
+def test_tolerance_merge_at_the_cap(group):
+    # at the cap, rounding splits one class across two key cells (265
+    # classes without the merge); merged, no two classes lie within the
+    # merge's length and matrix tolerances of each other
+    classes = enumerate_classes(group, fuchsian.L_MAX_CAP)
+    assert len(classes) == 264
+    for i, a in enumerate(classes):
+        for b in classes[i + 1:]:
+            if b.length - a.length > 5e-6:
+                break
+            assert not psl_close(a.rep_matrix, b.rep_matrix, 1e-5)
 
 
 def _perturbed_words(monkeypatch, eps=1e-4):
@@ -287,9 +301,7 @@ def _oracle_classes(group, L):
 
 def _ball(group, L):
     r_keep = L + 2 * group.circumradius + 0.5
-    return fuchsian._bfs_ball(
-        group.pairings, r_keep, r_keep + group.circumradius, 6_000_000
-    )
+    return fuchsian._bfs_ball(group.pairings, r_keep, r_keep + group.circumradius)
 
 
 @pytest.mark.parametrize("L", [4.0, 5.0])

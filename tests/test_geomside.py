@@ -8,11 +8,9 @@ import pytest
 from tracebench.analysis import TestFunction, identity_term
 from tracebench.fuchsian import enumerate_classes, free_reduce, word_inverse
 from tracebench.geomside import geometric_side
-from tracebench.reps import (
-    character_rep,
-    conjugate_rep,
-    from_generator_images,
-)
+from tracebench.reps import character_rep, from_generator_images
+
+from reference import conjugate_rep
 
 TRIV = character_rep((1, 1, 1, 1))
 

