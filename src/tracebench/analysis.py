@@ -166,12 +166,11 @@ def phi_at(f: TestFunction, lam) -> complex:
     return complex(phi_values(f, lam))
 
 
-def identity_term(f: TestFunction, d: int, vol: float, diagnostics=None) -> float:
+def identity_term(f: TestFunction, d: int, vol: float) -> float:
     """d * (vol/2) * integral of phi*beta over the real line.
 
     The integral is extended segment by segment until a geometric tail
-    estimate drops below 1e-10 of the running value.  Lambda and the tail
-    estimate land in the optional diagnostics dict.
+    estimate drops below 1e-10 of the running value.
     """
     if d < 1:
         raise ValueError("dimension d must be >= 1")
@@ -205,10 +204,5 @@ def identity_term(f: TestFunction, d: int, vol: float, diagnostics=None) -> floa
             "identity-term tail still %.3e of total after Lambda=%g" % (tail, lam_max)
         )
     # integral over the whole line is twice the half-line value
-    result = d * (vol / 2.0) * (2.0 * total)
-    if diagnostics is not None:
-        diagnostics["lambda_max"] = lam_max
-        diagnostics["tail_estimate"] = tail * d * vol
-        diagnostics["half_line_integral"] = total
-    return result
+    return d * (vol / 2.0) * (2.0 * total)
 

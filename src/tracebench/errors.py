@@ -78,8 +78,7 @@ class TruncationNotJustified(TracebenchError):
 
 
 class EnumerationFailed(TracebenchError):
-    """Class enumeration could not finish: an axis pull did not settle,
-    or two distinct ball elements shared a key hash."""
+    """Class enumeration could not finish: an axis pull did not settle."""
 
 
 class ClassWordMismatch(TracebenchError):

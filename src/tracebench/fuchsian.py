@@ -82,19 +82,15 @@ L_MAX_CAP = 7.25
 # scales like 1/max-entry, and entries stay below ~2e4 for L_max <= 12),
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
 # identify equal elements and never merge distinct ones.  The four integer
-# keys of a matrix are deduped as one row (`_KeySet`): a uint64 hash sorts
-# and matches rows, and rows sharing a hash must agree in all four keys.
+# keys of a matrix are deduped as one row, by the exact bytes of the row
+# (`_add_rows`).
 _KEY_SCALE = 1e-6
-
-# multipliers of the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA
-# 2014), the mixing step of the row hash
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 # greedy axis-pull steps before enumeration gives up
 _PULL_STEPS = 400
 
 # Most ball elements enumeration may visit.  At L_MAX_CAP the projection
-# is about 1.35 M, so this only fires once the cap is raised.
+# is about 117 k, so this only fires once the cap is raised.
 _BUDGET = 6_000_000
 
 
@@ -219,74 +215,35 @@ def _round_keys(mats: np.ndarray) -> np.ndarray:
     return np.round(mats.reshape(-1, 4) / _KEY_SCALE).astype(np.int64)
 
 
-def _key_hash(keys: np.ndarray) -> np.ndarray:
-    """uint64 hash of each (4,) int64 key row.  Each step mixes one more key
-    in by a bijection of uint64, so rows differing in one key never collide."""
-    k = keys.view(np.uint64)
-    h = np.zeros(k.shape[0], dtype=np.uint64)
-    for j in range(4):
-        h = h ^ k[:, j]
-        h = (h ^ (h >> 30)) * _MIX[0]
-        h = (h ^ (h >> 27)) * _MIX[1]
-        h = h ^ (h >> 31)
-    return h
+def _add_rows(seen: set, keys: np.ndarray) -> np.ndarray:
+    """Insert into `seen` the (4,) integer key rows of `keys` it lacks, as
+    the bytes of each row, so two rows are one element exactly when all
+    four keys are equal.  Returns the index of the first occurrence of each
+    inserted row, ascending."""
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 32))).ravel()
+    fresh = []
+    for i, row in enumerate(rows.tolist()):
+        if row not in seen:
+            seen.add(row)
+            fresh.append(i)
+    return np.array(fresh, dtype=np.int64)
 
 
-class _KeySet:
-    """Set of (4,) integer key rows, found by a sorted array of their hashes.
+def _bfs_ball(pairings: np.ndarray, radius: float):
+    """All group elements with displacement <= radius, by breadth-first
+    search over the side pairings.  Returns (mats, disp, parent, letter);
+    parent/letter chains reconstruct side-pairing words.
 
-    Two rows are the same element only when all four keys are equal.  A
-    hash shared by rows that differ anywhere raises EnumerationFailed, so
-    distinct elements are never merged.
+    Pruning every element past `radius` loses nothing.  The regular octagon
+    is the Dirichlet domain of the group at the basepoint o (Beardon, The
+    Geometry of Discrete Groups, 1983, 9.4): the points at least as close
+    to o as to every g_k o.  For gamma != 1 the orbit point gamma^{-1} o
+    lies outside it, so some g_k o is strictly closer to it than o is, and
+    disp(gamma g_k) = d(gamma^{-1} o, g_k o) < d(gamma^{-1} o, o) =
+    disp(gamma).  Such neighbours descend from any element of the ball to
+    the identity without leaving the ball, so each element is reached.
     """
-
-    def __init__(self):
-        self.hashes = np.empty(0, dtype=np.uint64)     # ascending
-        self.ids = np.empty(0, dtype=np.int64)         # row of each hash
-        self.rows = np.empty((0, 4), dtype=np.int64)   # in insertion order
-
-    def add(self, keys: np.ndarray) -> np.ndarray:
-        """Insert the rows of `keys` not yet in the set.  Returns the index
-        of the first occurrence of each inserted row, ascending."""
-        h = _key_hash(keys)
-        order = np.argsort(h)
-        hs = h[order]
-        lead = np.ones(hs.size, dtype=bool)            # starts a run of one hash
-        lead[1:] = hs[1:] != hs[:-1]
-        # the first occurrence of a hash is the least index in its run
-        first = np.minimum.reduceat(order, np.flatnonzero(lead))
-        _check_same_rows(keys[order], keys[first[np.cumsum(lead) - 1]])
-        uh = hs[lead]
-        pos = np.searchsorted(self.hashes, uh)
-        hit = pos < self.hashes.size
-        hit[hit] = self.hashes[pos[hit]] == uh[hit]
-        _check_same_rows(keys[first[hit]], self.rows[self.ids[pos[hit]]])
-        new = ~hit
-        ids = self.rows.shape[0] + np.arange(np.count_nonzero(new))
-        self.hashes = np.insert(self.hashes, pos[new], uh[new])
-        self.ids = np.insert(self.ids, pos[new], ids)
-        self.rows = np.concatenate([self.rows, keys[first[new]]])
-        return np.sort(first[new])
-
-
-def _check_same_rows(a: np.ndarray, b: np.ndarray) -> None:
-    differ = np.any(a != b, axis=1)
-    if np.any(differ):
-        raise EnumerationFailed(
-            "%d distinct key rows share a hash, first %s and %s"
-            % (int(differ.sum()), a[differ][0].tolist(), b[differ][0].tolist())
-        )
-
-
-def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float):
-    """All group elements with displacement <= r_prune, by breadth-first search
-    over the side pairings.  Returns (mats, disp, parent, letter, kept_mask);
-    parent/letter chains reconstruct side-pairing words.  Exploring to
-    r_prune > r_keep + circumradius guarantees no element under r_keep is
-    lost to prefix pruning (a tile path to gamma stays within
-    disp(gamma) + circumradius of the basepoint).
-    """
-    projected = 1.5 * (np.cosh(r_prune) - 1.0) / 2.0 + 100.0
+    projected = 1.5 * (np.cosh(radius) - 1.0) / 2.0 + 100.0
     if projected > _BUDGET:
         raise CutoffTooLarge(
             "projected ~%d elements exceeds budget %d" % (int(projected), _BUDGET)
@@ -297,14 +254,14 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float):
     disp = [np.zeros(1)]
     parent = [np.array([-1], dtype=np.int64)]
     letter = [np.array([-1], dtype=np.int8)]
-    seen = _KeySet()
-    seen.add(_round_keys(identity))
+    seen = set()
+    _add_rows(seen, _round_keys(identity))
     total = 1
     # displacement <= r  <=>  |beta|^2 <= tanh(r/2)^2 |alpha|^2, which does
     # not depend on the scale of the matrix, so the raw float64 product
     # pre-filters the children; the 1e-6 margin covers rounding, and the
     # survivors take the exact test after renormalization
-    q2_max = np.tanh((r_prune + 1e-6) / 2.0) ** 2
+    q2_max = np.tanh((radius + 1e-6) / 2.0) ** 2
     p = pairings.reshape(1, 8, 4)
 
     while True:
@@ -321,10 +278,10 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float):
         child = np.stack([a[near], b[near], c[near], d[near]], axis=1).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
         cdisp = displacement(child)
-        ok = cdisp <= r_prune
+        ok = cdisp <= radius
         near, child, cdisp = near[ok], child[ok], cdisp[ok]
 
-        fresh = seen.add(_round_keys(child))
+        fresh = _add_rows(seen, _round_keys(child))
         if fresh.size == 0:
             break
         mats.append(child[fresh])
@@ -335,13 +292,11 @@ def _bfs_ball(pairings: np.ndarray, r_keep: float, r_prune: float):
         if total > _BUDGET:
             raise CutoffTooLarge("enumeration exceeded budget %d elements" % _BUDGET)
 
-    disp = np.concatenate(disp)
     return (
         np.concatenate(mats),
-        disp,
+        np.concatenate(disp),
         np.concatenate(parent),
         np.concatenate(letter),
-        disp <= r_keep,
     )
 
 
@@ -366,14 +321,8 @@ def _side_word_of(parent: np.ndarray, letter: np.ndarray, idx: int) -> list:
     return out
 
 
-def _side_letters_to_pres(side_letters) -> Word:
-    out = []
-    for k in side_letters:
-        if k < 4:
-            out.extend(_SIDE_TO_PRES[k + 1])
-        else:
-            out.extend(word_inverse(_SIDE_TO_PRES[k - 4 + 1]))
-    return free_reduce(out)
+def _side_letters_to_pres(g: SurfaceGroup, side_letters) -> Word:
+    return free_reduce(l for k in side_letters for l in g.pairing_words[k])
 
 
 def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
@@ -468,14 +417,12 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
         )
 
     R = g.circumradius
-    r_keep = L_max + 2.0 * R + 0.5
-    r_prune = r_keep + R
-    mats, disp, parent, letter, kept = _bfs_ball(g.pairings, r_keep, r_prune)
+    mats, disp, parent, letter = _bfs_ball(g.pairings, L_max + 2.0 * R + 0.5)
 
     tr_all = np.abs(trace(mats))
     max_tr = 2.0 * np.cosh(L_max / 2.0)
     is_id = np.max(np.abs(np.abs(mats) - np.eye(2)), axis=(1, 2)) <= 1e-9
-    cand = kept & (tr_all <= max_tr + 1e-9) & ~is_id
+    cand = (tr_all <= max_tr + 1e-9) & ~is_id
     if np.any(cand & (tr_all <= 2.0 + 1e-10)):
         raise NotHyperbolic("enumerated a non-hyperbolic, non-identity element")
     cand_idx = np.nonzero(cand)[0]
@@ -485,8 +432,11 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
     pulled, pull_words = _pull_axes(mats[cand_idx], g.pairings)
 
     # collapse identical pulled forms before the expensive canonical search
-    reps = _KeySet().add(_round_keys(pulled))
+    reps = _add_rows(set(), _round_keys(pulled))
 
+    # the conjugators: the ball holds them, since this radius is below the
+    # ball's for every L_max >= 0.4, and below the systole (3.06) there are
+    # no candidates and no conjugators are needed
     d_rad = L_max / 2.0 + 2.0 * R + 0.7
     delta_idx = np.nonzero(disp <= d_rad)[0]
     delta = mats[delta_idx]
@@ -502,7 +452,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
         w_gamma = _side_word_of(parent, letter, int(orig))
         conj = w_delta + pull_words[i]
         inv_conj = [(k + 4) % 8 for k in reversed(conj)]
-        rep_word = _side_letters_to_pres(conj + w_gamma + inv_conj)
+        rep_word = _side_letters_to_pres(g, conj + w_gamma + inv_conj)
         classes[key] = (cmat, rep_word)
 
     # tolerance merge: rounding can split one class across adjacent cells.

@@ -174,11 +174,8 @@ def test_identity_term_oracle_and_diagnostics():
     for i in range(0, lam.size, 1000):
         phis[i : i + 1000] = _oracle_phi(T, k, lam[i : i + 1000])
     oracle = 4 * np.pi * np.trapezoid(phis * plancherel_density(lam), lam)
-    diag = {}
-    mine = identity_term(f, 1, 4 * np.pi, diagnostics=diag)
+    mine = identity_term(f, 1, 4 * np.pi)
     assert mine == pytest.approx(oracle, rel=1e-8)
-    assert diag["lambda_max"] > 20
-    assert diag["tail_estimate"] <= 1e-9 * abs(mine)
 
 
 def test_fourier_roundtrip():

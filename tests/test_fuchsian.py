@@ -6,11 +6,13 @@ The expected values here are produced by two independent routes:
   the implementation's own constants), and
 * a brute-force enumerator with exhaustive conjugator-orbit dedup.  It
   shares the ball-generation alphabet with the implementation (the side
-  pairings, for which the prefix-pruning bound is provable) but none of
-  the canonicalization machinery: classes are merged by literally
-  conjugating with every ball element and matching hash keys.  Its ball
-  comes from a per-element reference search (`_reference_ball`), which
-  the vectorized `_bfs_ball` must reproduce bit for bit.  The ball
+  pairings) but none of the canonicalization machinery: classes are
+  merged by literally conjugating with every ball element and matching
+  rounded keys.  Its ball comes from a per-element reference search
+  (`_reference_ball`), pruned at the generic tile-path bound
+  r_keep + circumradius rather than at the Dirichlet-domain bound
+  r_keep that `_bfs_ball` relies on; at a single radius the vectorized
+  `_bfs_ball` must reproduce the reference search bit for bit.  The ball
   is inverse-closed, so the oracle counts the two orientations of each
   geodesic separately; count agreement checks that contract too.
 """
@@ -222,14 +224,16 @@ def _keys(m):
     return np.round(m.reshape(-1, 4) / 1e-6).astype(np.int64)
 
 
-def _reference_ball(group, L):
-    """The element ball of `enumerate_classes` at cutoff L, by breadth-first
-    search with a per-element set of key bytes.  Returns (mats, disp,
-    parent, letter, kept) in the order and dtypes of `_bfs_ball`."""
-    gens = group.pairings
-    r_keep = L + 2 * group.circumradius + 0.5
-    r_prune = r_keep + group.circumradius
+def _r_keep(group, L):
+    """Ball radius of `enumerate_classes` at cutoff L."""
+    return L + 2 * group.circumradius + 0.5
 
+
+def _reference_ball(group, radius):
+    """Elements within displacement `radius`, by breadth-first search pruned
+    at `radius`, with a per-element set of key bytes.  Returns (mats, disp,
+    parent, letter) in the order and dtypes of `_bfs_ball`."""
+    gens = group.pairings
     frontier = np.eye(2)[None]
     seen = {_keys(frontier)[0].tobytes()}
     ball, disp = [frontier], [np.zeros(1)]
@@ -241,7 +245,7 @@ def _reference_ball(group, L):
         child = np.einsum("nij,kjl->nkil", frontier, gens).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
         cdisp = displacement(child)
-        ok = cdisp <= r_prune
+        ok = cdisp <= radius
         cparent = np.repeat(np.arange(total - n, total), 8)[ok]
         cletter = np.tile(np.arange(8, dtype=np.int8), n)[ok]
         child, cdisp = child[ok], cdisp[ok]
@@ -261,14 +265,18 @@ def _reference_ball(group, L):
         parent.append(cparent[fresh])
         letter.append(cletter[fresh])
         total += fresh.size
-    disp = np.concatenate(disp)
-    return (np.concatenate(ball), disp, np.concatenate(parent),
-            np.concatenate(letter), disp <= r_keep)
+    return (np.concatenate(ball), np.concatenate(disp), np.concatenate(parent),
+            np.concatenate(letter))
 
 
 def _oracle_classes(group, L):
-    """Conjugacy classes with length <= L by exhaustive orbit matching."""
-    ball, _, _, _, r_kept = _reference_ball(group, L)
+    """Conjugacy classes with length <= L by exhaustive orbit matching.
+    Its ball searches to r_keep + circumradius and keeps r_keep: a tile
+    path to gamma stays within disp(gamma) + circumradius of the basepoint,
+    so this holds without the Dirichlet-domain descent."""
+    r_keep = _r_keep(group, L)
+    ball, disp, _, _ = _reference_ball(group, r_keep + group.circumradius)
+    r_kept = disp <= r_keep
 
     tr = np.abs(trace(ball))
     ok = (tr > 2 + 1e-10) & r_kept
@@ -300,15 +308,15 @@ def _oracle_classes(group, L):
 
 
 def _ball(group, L):
-    r_keep = L + 2 * group.circumradius + 0.5
-    return fuchsian._bfs_ball(group.pairings, r_keep, r_keep + group.circumradius)
+    return fuchsian._bfs_ball(group.pairings, _r_keep(group, L))
 
 
 @pytest.mark.parametrize("L", [4.0, 5.0])
 def test_ball_matches_reference(group, L):
-    # same elements, order, words and flags, bit for bit
+    # same elements, order and words, bit for bit
     got = _ball(group, L)
-    want = _reference_ball(group, L)
+    want = _reference_ball(group, _r_keep(group, L))
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -325,13 +333,39 @@ def _reference_canonical(pulled, delta, delta_inv):
     return conj[best], int(best)
 
 
+def test_ball_descends_by_side_pairings(group):
+    # the octagon is the Dirichlet domain at the basepoint, so every
+    # element but the identity has a side-pairing neighbour gamma g_k of
+    # strictly smaller displacement; pruning the search at the ball radius
+    # relies on that.  The least gap measured is 0.156 at L_max 6 and 7.
+    mats, disp, _, _ = _ball(group, 6.0)
+    assert np.array_equal(mats[0], np.eye(2))
+    nbr = np.einsum("nij,kjl->nkil", mats[1:], group.pairings)
+    nbr_disp = displacement(renormalize(nbr).reshape(-1, 2, 2)).reshape(-1, 8)
+    assert mats.shape[0] > 20000
+    assert np.all(nbr_disp.min(axis=1) <= disp[1:] - 0.1)
+
+
+@pytest.mark.parametrize("L", [4.0, 6.0, 7.0, fuchsian.L_MAX_CAP])
+def test_ball_projection_within_twice_the_ball(group, monkeypatch, L):
+    # the budget guard's up-front projection lies between the ball size and
+    # twice it: a budget just below the size is refused before the search,
+    # and a budget of twice the size admits the whole ball
+    size = _ball(group, L)[0].shape[0]
+    monkeypatch.setattr(fuchsian, "_BUDGET", size - 1)
+    with pytest.raises(CutoffTooLarge, match="projected"):
+        _ball(group, L)
+    monkeypatch.setattr(fuchsian, "_BUDGET", 2 * size)
+    assert _ball(group, L)[0].shape[0] == size
+
+
 def test_canonical_search_matches_full_search(group):
     # the search renormalizes only conjugates near the raw minimum; it must
     # pick the same conjugator, and the same bits, as renormalizing them all
     L = 6.0
-    mats, disp, _, _, kept = _ball(group, L)
+    mats, disp, _, _ = _ball(group, L)
     tr = np.abs(trace(mats))
-    cand = kept & (tr > 2 + 1e-9) & (tr <= 2 * np.cosh(L / 2))
+    cand = (tr > 2 + 1e-9) & (tr <= 2 * np.cosh(L / 2))
     pulled, _ = fuchsian._pull_axes(mats[cand][::8], group.pairings)
     delta = mats[disp <= L / 2 + 2 * group.circumradius + 0.7]
     delta_inv = mat_inv(delta)
@@ -343,22 +377,13 @@ def test_canonical_search_matches_full_search(group):
         assert np.array_equal(got, want)
 
 
-def test_hash_collisions_never_merge_elements(group, monkeypatch):
-    # every row hashes alike: distinct elements must raise, not merge
-    monkeypatch.setattr(
-        fuchsian, "_key_hash", lambda k: np.zeros(k.shape[0], dtype=np.uint64)
-    )
-    with pytest.raises(EnumerationFailed, match="distinct key rows share a hash"):
-        _ball(group, 1.0)
-
-
 def test_key_set_keeps_first_occurrences():
     rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4], [0, 0, 0, 1]])
-    ks = fuchsian._KeySet()
-    assert ks.add(rows).tolist() == [0, 1, 3]
-    assert ks.add(rows[::-1]).tolist() == []
-    assert ks.add(np.array([[0, 0, 0, 2], [5, 6, 7, 8]])).tolist() == [0]
-    assert ks.hashes.size == 4
+    seen = set()
+    assert fuchsian._add_rows(seen, rows).tolist() == [0, 1, 3]
+    assert fuchsian._add_rows(seen, rows[::-1]).tolist() == []
+    assert fuchsian._add_rows(seen, np.array([[0, 0, 0, 2], [5, 6, 7, 8]])).tolist() == [0]
+    assert len(seen) == 4
 
 
 def test_axis_pull_cap_raises_typed_error(group, monkeypatch):
@@ -379,11 +404,11 @@ def test_axis_pull_cap_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
     assert "did not settle" in capsys.readouterr().err
 
 
-def test_enumeration_matches_bruteforce_oracle(group):
-    L = 4.0
+@pytest.mark.parametrize("L, count", [(4.0, 24), (5.0, 48)])
+def test_enumeration_matches_bruteforce_oracle(group, L, count):
     oracle = _oracle_classes(group, L)
     mine = enumerate_classes(group, L)
-    assert len(oracle) == len(mine) == 24
+    assert len(oracle) == len(mine) == count
     a = sorted(2 * np.arccosh(abs(trace(m)) / 2) for m in oracle)
     b = sorted(c.length for c in mine)
     assert np.allclose(a, b, atol=1e-9)
