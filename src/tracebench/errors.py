@@ -78,7 +78,8 @@ class TruncationNotJustified(TracebenchError):
 
 
 class EnumerationFailed(TracebenchError):
-    """Class enumeration could not finish: an axis pull did not settle."""
+    """Class enumeration could not finish: an axis pull did not settle, or
+    the power of a class inside the cutoff is not an enumerated class."""
 
 
 class ClassWordMismatch(TracebenchError):

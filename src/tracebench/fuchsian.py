@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import takewhile
 
 import numpy as np
 
@@ -81,9 +80,12 @@ L_MAX_CAP = 7.25
 # balls we enumerate are separated by >> 1e-4 in max norm (the separation
 # scales like 1/max-entry, and entries stay below ~2e4 for L_max <= 12),
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
-# identify equal elements and never merge distinct ones.  The four integer
-# keys of a matrix are deduped as one row, by the exact bytes of the row
-# (`_add_rows`).
+# never merge distinct elements.  They do not always identify equal ones: a
+# drift across a cell boundary leaves one element in two adjacent cells (1
+# such pair in the ball at L_max 6, 52 at L_max 7).  Such duplicates cost
+# only repeated work, because classes are keyed by their canonical form.
+# The four integer keys of a matrix are deduped as one row, by the exact
+# bytes of the row (`_add_rows`).
 _KEY_SCALE = 1e-6
 
 # greedy axis-pull steps before enumeration gives up
@@ -367,7 +369,8 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
 
 
 def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray):
-    """Best conjugate of one pulled element over the delta set.
+    """Best conjugate over the delta set of one element whose axis is near
+    the basepoint: a pulled element, or a power of a canonical form.
 
     Candidates are conjugates whose axis stays near the basepoint (within
     0.1 of the minimum); the canonical form is the lexicographic minimum
@@ -390,21 +393,6 @@ def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.
     ell = float(translation_length(conj[best]))
     key = (int(round(ell / _KEY_SCALE)),) + tuple(int(v) for v in ent[order[0]])
     return conj[best], key, int(near[best])
-
-
-def _matrix_root(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th root of a hyperbolic element inside PSL(2,R)."""
-    m = np.asarray(m, float)
-    if trace(m) < 0:
-        m = -m
-    tr = float(trace(m))
-    s = np.sqrt(tr * tr - 4.0)
-    mu = (tr + s) / 2.0                      # eigenvalue > 1
-    root_mu = mu ** (1.0 / k)
-    # spectral decomposition: m = mu*P + (1/mu)*Q with P+Q = I
-    P = (m - (1.0 / mu) * np.eye(2)) / (mu - 1.0 / mu)
-    Q = np.eye(2) - P
-    return canonical_sign(renormalize(root_mu * P + (1.0 / root_mu) * Q))
 
 
 def enumerate_classes(g: SurfaceGroup, L_max: float):
@@ -456,47 +444,36 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
         classes[key] = (cmat, rep_word)
 
     # tolerance merge: rounding can split one class across adjacent cells.
-    # A class matches a merged one within 5 length cells and 1e-5 in its
-    # entries; keys ascend, so scan back until 5 cells below the key.
-    merged = []
-    for key, (cmat, w) in sorted(classes.items(), key=lambda kv: kv[0]):
-        near = takewhile(lambda kv: key[0] - kv[0][0] <= 5, reversed(merged))
-        if not any(psl_close(cmat, cmat2, 1e-5) for _, (cmat2, _w) in near):
-            merged.append((key, (cmat, w)))
+    # Keys ascend; a class is dropped when it matches, up to sign and within
+    # 1e-5, a kept class at most 5 length cells below it.
+    keys = sorted(classes)
+    cells = np.array([key[0] for key in keys])
+    cmats = np.array([classes[key][0] for key in keys])
+    keep = np.ones(len(keys), dtype=bool)
+    for i, lo in enumerate(np.searchsorted(cells, cells - 5)):
+        keep[i] = not psl_close(cmats[lo:i][keep[lo:i]], cmats[i], 1e-5).any()
+    merged = [(keys[i],) + classes[keys[i]] for i in np.flatnonzero(keep)]
 
-    # assemble ConjugacyClass records; the power is the largest k whose
-    # k-th root lands on an enumerated class of length ell / k
-    recs = [(w, cmat, float(trace(cmat)), float(translation_length(cmat)))
-            for _, (cmat, w) in merged]
-    recs.sort(key=lambda r: r[3])
+    # the power of a class is the largest k for which the k-th power of a
+    # class canonicalizes onto its key.  A canonical form's axis is already
+    # at the basepoint, so the same conjugators canonicalize its powers.
+    power = {key: 1 for key, _, _ in merged}
+    for _, cmat, _ in merged:
+        ell = float(translation_length(cmat))
+        pk = cmat
+        for k in range(2, int(L_max / ell) + 1):
+            pk = mat_prod(pk, cmat)
+            _, pkey, _ = _canonical_from_pulled(pk, delta, delta_inv)
+            if pkey in power:
+                power[pkey] = max(power[pkey], k)
+            elif k * ell <= L_max - 1e-6:
+                raise EnumerationFailed(
+                    "power %d of the class of length %.9f is not an enumerated "
+                    "class" % (k, ell)
+                )
 
-    out = []
-    lengths = np.array([r[3] for r in recs])
-    systole = lengths.min()
-    for w, cmat, tr, ell in recs:
-        power = 1
-        kmax = int(np.floor(ell / systole + 1e-9))
-        for k in range(kmax, 1, -1):
-            l0 = ell / k
-            near = np.nonzero(np.abs(lengths - l0) <= 1e-7 * (1.0 + l0))[0]
-            if near.size == 0:
-                continue
-            root = _matrix_root(cmat, k)
-            rpull, _ = _pull_axes(root[None], g.pairings)
-            rcan, _, _ = _canonical_from_pulled(rpull[0], delta, delta_inv)
-            if any(psl_close(rcan, recs[j][1], 1e-6) for j in near):
-                power = k
-                break
-        out.append(
-            ConjugacyClass(
-                rep_word=w,
-                rep_matrix=cmat,
-                trace=tr,
-                length=ell,
-                power=power,
-            )
-        )
-
+    out = [ConjugacyClass(w, cmat, float(trace(cmat)), float(translation_length(cmat)),
+                          power[key]) for key, cmat, w in merged]
     out.sort(key=lambda c: (c.length, c.trace, c.rep_word))
 
     # internal consistency: the stored word must evaluate to the stored matrix

@@ -74,11 +74,14 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def psl_close(x: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
-    """Equality up to overall sign."""
+def psl_close(x: np.ndarray, y: np.ndarray, tol: float = 1e-10):
+    """Equality up to overall sign in max norm, per 2x2 matrix of broadcast
+    batches: a bool array over the batch axes (a numpy bool for two
+    matrices)."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    return bool(min(np.max(np.abs(x - y)), np.max(np.abs(x + y))) <= tol)
+    dist = np.minimum(np.abs(x - y).max((-2, -1)), np.abs(x + y).max((-2, -1)))
+    return dist <= tol
 
 
 # ---------------------------------------------------------------------------

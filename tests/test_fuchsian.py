@@ -177,9 +177,10 @@ def test_cutoff_guard(group, monkeypatch):
 
 
 def test_tolerance_merge_at_the_cap(group):
-    # at the cap, rounding splits one class across two key cells (265
-    # classes without the merge); merged, no two classes lie within the
-    # merge's length and matrix tolerances of each other
+    # at the cap no two classes lie within the merge's length and matrix
+    # tolerances of each other.  The merge drops nothing here: without it
+    # the 264 classes are the same, bit for bit (so are the 96 and 216 at
+    # L_max 6 and 7); test_forced_split_is_merged makes it fire.
     classes = enumerate_classes(group, fuchsian.L_MAX_CAP)
     assert len(classes) == 264
     for i, a in enumerate(classes):
@@ -187,6 +188,43 @@ def test_tolerance_merge_at_the_cap(group):
             if b.length - a.length > 5e-6:
                 break
             assert not psl_close(a.rep_matrix, b.rep_matrix, 1e-5)
+
+
+def _fields(classes):
+    return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
+            for c in classes]
+
+
+def test_forced_split_is_merged(group, classes_L62, monkeypatch):
+    # force the split the merge exists for: the first pulled form that
+    # canonicalizes onto an existing class gets a key one length cell up.
+    # The merge must drop it and keep the first, unforced class.
+    canon = fuchsian._canonical_from_pulled
+    seen, moved = set(), []
+
+    def split_once(pulled, delta, delta_inv):
+        cmat, key, bi = canon(pulled, delta, delta_inv)
+        if key in seen and not moved:
+            moved.append(key)
+            key = (key[0] + 1,) + key[1:]
+        seen.add(key)
+        return cmat, key, bi
+
+    monkeypatch.setattr(fuchsian, "_canonical_from_pulled", split_once)
+    got = enumerate_classes(group, 6.2)
+    assert len(moved) == 1
+    assert _fields(got) == _fields(classes_L62)
+
+
+def test_missing_power_raises(group, monkeypatch):
+    # a power inside the cutoff whose key is not an enumerated class is an
+    # error, not a silent power of 1: turn every power (here the systole
+    # squares, length 6.115 <= 6.2) slightly off its class
+    exact = fuchsian.mat_prod
+    turn = np.array([[np.cos(1e-3), np.sin(1e-3)], [-np.sin(1e-3), np.cos(1e-3)]])
+    monkeypatch.setattr(fuchsian, "mat_prod", lambda *ms: exact(*ms, turn))
+    with pytest.raises(EnumerationFailed, match="power 2 of the class of length 3.05"):
+        enumerate_classes(group, 6.2)
 
 
 def _perturbed_words(monkeypatch, eps=1e-4):
