@@ -43,6 +43,7 @@ from .hyperbolic import (
     axis_foot,
     canonical_sign,
     disk_apply,
+    disk_coeffs,
     displacement,
     hyp_dist,
     mat_inv,
@@ -78,12 +79,14 @@ L_MAX_CAP = 7.25
 
 # Absolute rounding cell for matrix-entry keys.  Distinct elements in the
 # balls we enumerate are separated by >> 1e-4 in max norm (the separation
-# scales like 1/max-entry, and entries stay below ~2e4 for L_max <= 12),
+# scales like 1/max-entry, and entries stay below 600 up to L_MAX_CAP),
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
 # never merge distinct elements.  They do not always identify equal ones: a
-# drift across a cell boundary leaves one element in two adjacent cells (1
-# such pair in the ball at L_max 6, 52 at L_max 7).  Such duplicates cost
-# only repeated work, because classes are keyed by their canonical form.
+# drift across a cell boundary leaves one element in two adjacent cells.
+# The ball holds 1 such pair at L_max 6, 52 at L_max 7 and 87 at L_MAX_CAP
+# (pairs of ball elements within 1e-5 of each other; none lies within 1e-3
+# without lying within 1e-5).  Such duplicates cost only repeated work,
+# because classes are keyed by their canonical form.
 # The four integer keys of a matrix are deduped as one row, by the exact
 # bytes of the row (`_add_rows`).
 _KEY_SCALE = 1e-6
@@ -368,31 +371,89 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
     return cur, words
 
 
-def _canonical_from_pulled(pulled: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray):
-    """Best conjugate over the delta set of one element whose axis is near
-    the basepoint: a pulled element, or a power of a canonical form.
+# The canonical search filters (form, conjugator) pairs before it forms any
+# conjugate.  The axis of delta p delta^-1 is delta(axis p), so its distance
+# to the basepoint o is d(z, axis p) with z = delta^-1 o, and by
+#   sinh(d(z, p z) / 2) = cosh(d(z, axis p)) sinh(l / 2)
+# it grows with s = sinh(d(z, p z) / 2) = |beta + (alpha - conj(alpha)) z -
+# conj(beta) z^2| / (1 - |z|^2), (alpha, beta) the disk coefficients of p.
+# s needs only arithmetic on per-form and per-conjugator values, so every
+# pair gets it and only pairs whose distance lies within 0.11 plus this
+# slack of the form's minimum are conjugated.  On the conjugates the exact
+# rule keeps, the filter's distance differs from the one it measures on the
+# raw product by at most 1.7e-5 at L_MAX_CAP, over every pulled form
+# (test_axis_filter_gap_is_below_the_slack), so the filter drops none.
+_FILTER_SLACK = 0.02
+
+# Forms per filter pass.  A pass holds a few (chunk, len(delta)) arrays:
+# at L_max 7 (2,217 conjugators) each is 2.3 MB of complex.  One pass over
+# all 584 forms raised the peak memory of that enumeration by 32 MB; 16 to
+# 128 forms per pass take the same time.
+_SEARCH_CHUNK = 64
+
+
+def _axis_sinh(forms: np.ndarray, delta_inv: np.ndarray):
+    """Yield (lo, s) for each chunk of _SEARCH_CHUNK forms starting at lo,
+    where s[i, j] = sinh(d(z, p z) / 2) for p = forms[lo + i] and
+    z = delta_inv[j] o, the basepoint pulled back by the j-th conjugator."""
+    a, b = disk_coeffs(delta_inv)
+    z = b / np.conj(a)
+    z2 = z * z
+    scale = np.abs(a) ** 2                  # 1 / (1 - |z|^2)
+    alpha, beta = disk_coeffs(forms)
+    for lo in range(0, forms.shape[0], _SEARCH_CHUNK):
+        al = alpha[lo:lo + _SEARCH_CHUNK, None]
+        be = beta[lo:lo + _SEARCH_CHUNK, None]
+        yield lo, np.abs(be + (al - np.conj(al)) * z - np.conj(be) * z2) * scale
+
+
+def _group_min(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Minimum of x over each run of equal values in the sorted `rows`,
+    repeated across the run."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.repeat(np.minimum.reduceat(x, starts), np.diff(starts, append=x.size))
+
+
+def _canonical_forms(forms: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray):
+    """Best conjugate over the delta set of each of a batch of elements whose
+    axes are near the basepoint: pulled elements, or powers of canonical
+    forms.
 
     Candidates are conjugates whose axis stays near the basepoint (within
     0.1 of the minimum); the canonical form is the lexicographic minimum
-    of their rounded entries.  Returns (canonical matrix, key, index of
-    the chosen conjugator in delta).
+    of their rounded entries, the first conjugator in delta order on a tie.
+    Returns (canonical matrices, keys, index of each chosen conjugator in
+    delta).
     """
-    conj = _conjugate(delta, pulled, delta_inv)
-    # axis distances of the raw products differ from the renormalized ones
-    # by < 3e-4 up to L_MAX_CAP, so only conjugates within 0.1 + 1e-2 of
+    half = np.sinh(translation_length(forms) / 2.0)
+    rows, cols = [], []
+    for lo, s in _axis_sinh(forms, delta_inv):
+        h = half[lo:lo + s.shape[0]]
+        reach = np.arccosh(np.maximum(s.min(axis=1) / h, 1.0)) + 0.11 + _FILTER_SLACK
+        r, c = np.nonzero(s <= (np.cosh(reach) * h)[:, None])
+        rows.append(r + lo)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+
+    # the exact rule on the pairs left, form by form in delta order.  Axis
+    # distances of the raw products differ from the renormalized ones by at
+    # most 1.7e-5 up to L_MAX_CAP, so only conjugates within 0.1 + 1e-2 of
     # the raw minimum can be candidates; just those are renormalized
+    conj = _conjugate(delta[cols], forms[rows], delta_inv[cols])
     raw = axis_dist_to_origin(conj)
-    near = np.flatnonzero(raw <= raw.min() + 0.11)
+    near = raw <= _group_min(raw, rows) + 0.11
+    rows, cols = rows[near], cols[near]
     conj = canonical_sign(renormalize(conj[near]))
     dist = axis_dist_to_origin(conj)
-    dmin = dist.min()
-    cand_idx = np.nonzero(dist <= dmin + 0.1)[0]
-    ent = _round_keys(conj[cand_idx])
-    order = np.lexsort((ent[:, 3], ent[:, 2], ent[:, 1], ent[:, 0]))
-    best = cand_idx[order[0]]
-    ell = float(translation_length(conj[best]))
-    key = (int(round(ell / _KEY_SCALE)),) + tuple(int(v) for v in ent[order[0]])
-    return conj[best], key, int(near[best])
+    cand = dist <= _group_min(dist, rows) + 0.1
+    rows, cols, conj = rows[cand], cols[cand], conj[cand]
+    ent = _round_keys(conj)
+    # lexsort is stable, so a tie goes to the first conjugator in delta order
+    order = np.lexsort((ent[:, 3], ent[:, 2], ent[:, 1], ent[:, 0], rows))
+    best = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+    cells = np.round(translation_length(conj[best]) / _KEY_SCALE).astype(np.int64)
+    keys = [tuple(k) for k in np.column_stack([cells, ent[best]]).tolist()]
+    return conj[best], keys, cols[best]
 
 
 def enumerate_classes(g: SurfaceGroup, L_max: float):
@@ -419,7 +480,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
 
     pulled, pull_words = _pull_axes(mats[cand_idx], g.pairings)
 
-    # collapse identical pulled forms before the expensive canonical search
+    # collapse identical pulled forms before the canonical search
     reps = _add_rows(set(), _round_keys(pulled))
 
     # the conjugators: the ball holds them, since this radius is below the
@@ -430,9 +491,9 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
     delta = mats[delta_idx]
     delta_inv = mat_inv(delta)
 
+    # the first pulled form of each key supplies its class's word
     classes: dict = {}
-    for i in reps:
-        cmat, key, bi = _canonical_from_pulled(pulled[i], delta, delta_inv)
+    for i, cmat, key, bi in zip(reps, *_canonical_forms(pulled[reps], delta, delta_inv)):
         if key in classes:
             continue
         orig = cand_idx[i]
@@ -456,14 +517,20 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
 
     # the power of a class is the largest k for which the k-th power of a
     # class canonicalizes onto its key.  A canonical form's axis is already
-    # at the basepoint, so the same conjugators canonicalize its powers.
+    # at the basepoint, so the same conjugators canonicalize its powers, all
+    # in one search.
     power = {key: 1 for key, _, _ in merged}
+    pows, of = [], []
     for _, cmat, _ in merged:
         ell = float(translation_length(cmat))
         pk = cmat
         for k in range(2, int(L_max / ell) + 1):
             pk = mat_prod(pk, cmat)
-            _, pkey, _ = _canonical_from_pulled(pk, delta, delta_inv)
+            pows.append(pk)
+            of.append((k, ell))
+    if pows:
+        _, pkeys, _ = _canonical_forms(np.array(pows), delta, delta_inv)
+        for pkey, (k, ell) in zip(pkeys, of):
             if pkey in power:
                 power[pkey] = max(power[pkey], k)
             elif k * ell <= L_max - 1e-6:

@@ -17,6 +17,8 @@ The expected values here are produced by two independent routes:
   geodesic separately; count agreement checks that contract too.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ from tracebench.hyperbolic import (
     psl_close,
     renormalize,
     trace,
+    translation_length,
 )
 from tracebench.reps import character_rep, trace_on_class
 
@@ -199,18 +202,19 @@ def test_forced_split_is_merged(group, classes_L62, monkeypatch):
     # force the split the merge exists for: the first pulled form that
     # canonicalizes onto an existing class gets a key one length cell up.
     # The merge must drop it and keep the first, unforced class.
-    canon = fuchsian._canonical_from_pulled
+    canon = fuchsian._canonical_forms
     seen, moved = set(), []
 
-    def split_once(pulled, delta, delta_inv):
-        cmat, key, bi = canon(pulled, delta, delta_inv)
-        if key in seen and not moved:
-            moved.append(key)
-            key = (key[0] + 1,) + key[1:]
-        seen.add(key)
-        return cmat, key, bi
+    def split_once(forms, delta, delta_inv):
+        cmats, keys, idx = canon(forms, delta, delta_inv)
+        for i, key in enumerate(keys):
+            if key in seen and not moved:
+                moved.append(key)
+                keys[i] = (key[0] + 1,) + key[1:]
+            seen.add(keys[i])
+        return cmats, keys, idx
 
-    monkeypatch.setattr(fuchsian, "_canonical_from_pulled", split_once)
+    monkeypatch.setattr(fuchsian, "_canonical_forms", split_once)
     got = enumerate_classes(group, 6.2)
     assert len(moved) == 1
     assert _fields(got) == _fields(classes_L62)
@@ -397,22 +401,51 @@ def test_ball_projection_within_twice_the_ball(group, monkeypatch, L):
     assert _ball(group, L)[0].shape[0] == size
 
 
-def test_canonical_search_matches_full_search(group):
-    # the search renormalizes only conjugates near the raw minimum; it must
-    # pick the same conjugator, and the same bits, as renormalizing them all
-    L = 6.0
+@functools.lru_cache(maxsize=2)
+def _search_inputs(L):
+    """Every pulled form of `enumerate_classes` at cutoff L (before the
+    dedupe by key), its conjugators and their inverses."""
+    group = bolza_preset()
     mats, disp, _, _ = _ball(group, L)
     tr = np.abs(trace(mats))
     cand = (tr > 2 + 1e-9) & (tr <= 2 * np.cosh(L / 2))
-    pulled, _ = fuchsian._pull_axes(mats[cand][::8], group.pairings)
+    pulled, _ = fuchsian._pull_axes(mats[cand], group.pairings)
     delta = mats[disp <= L / 2 + 2 * group.circumradius + 0.7]
-    delta_inv = mat_inv(delta)
-    assert pulled.shape[0] > 200
-    for p in pulled:
-        got, _, gi = fuchsian._canonical_from_pulled(p, delta, delta_inv)
-        want, wi = _reference_canonical(p, delta, delta_inv)
-        assert gi == wi
-        assert np.array_equal(got, want)
+    return pulled, delta, mat_inv(delta)
+
+
+def test_canonical_search_matches_full_search():
+    # the search conjugates only the pairs its axis filter keeps and
+    # renormalizes only those near the raw minimum; it must pick the same
+    # conjugator, and the same bits, as renormalizing every conjugate
+    for L, forms in [(6.0, 1952), (fuchsian.L_MAX_CAP, 7099)]:
+        pulled, delta, delta_inv = _search_inputs(L)
+        assert pulled.shape[0] == forms
+        got, keys, idx = fuchsian._canonical_forms(pulled, delta, delta_inv)
+        assert len(keys) == idx.size == forms
+        for p, g, gi in zip(pulled, got, idx):
+            want, wi = _reference_canonical(p, delta, delta_inv)
+            assert gi == wi
+            assert np.array_equal(g, want)
+
+
+def test_axis_filter_gap_is_below_the_slack():
+    # the filter's distance d(delta^-1 o, axis p) and the exact rule's raw
+    # distance of the unrenormalized conjugate agree to far less than the
+    # slack on every conjugate the exact rule keeps, so the filter drops
+    # none of them (it keeps pairs within 0.11 + slack of its own minimum)
+    pulled, delta, delta_inv = _search_inputs(fuchsian.L_MAX_CAP)
+    half = np.sinh(translation_length(pulled) / 2)
+    gap = 0.0
+    for lo, s in fuchsian._axis_sinh(pulled, delta_inv):
+        filt = np.arccosh(np.maximum(s / half[lo:lo + s.shape[0], None], 1.0))
+        for i, f in enumerate(filt):
+            raw = axis_dist_to_origin(fuchsian._conjugate(delta, pulled[lo + i], delta_inv))
+            near = raw <= raw.min() + 0.11
+            gap = max(gap, float(np.abs(f[near] - raw[near]).max()))
+    print("axis filter gap %.3g, slack %g, margin %.0fx"
+          % (gap, fuchsian._FILTER_SLACK, fuchsian._FILTER_SLACK / gap))
+    assert gap <= fuchsian._FILTER_SLACK / 100
 
 
 def test_key_set_keeps_first_occurrences():
