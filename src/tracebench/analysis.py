@@ -21,6 +21,7 @@ FEM spectrum in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +31,20 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _PANELS = (8, 16, 32, 64, 128, 256, 512)
 _BLOCK = 1 << 18  # cosine-grid entries per block in _phi_settled
 _QUAD_ORDER = 32  # Gauss-Legendre nodes per panel of the phi rule
+
+# The region phi_values accepts, in x = T|Re lam| and y = T|Im lam|: the
+# strip y <= 50, x <= 1200 (the 512-panel rule stops settling near
+# x = 1600), and points whose rounding error, estimated in `_unresolved`,
+# passes the settling test 1e-12 |phi| + 1e-15.  _ROUNDING scales that
+# estimate.  It was set from a map of where 512 panels settle (72,821
+# points with x <= 1800, y <= 50 for each of 16 pairs k = 1, 2, 3 and
+# T from 1 to 10): ROADMAP 5i's three points are rejected above 0.038,
+# phi at 80+2i (T = 4, k = 2; a test point that settles) is accepted
+# below 0.387, and at 0.3 the guard accepts 195,465 mapped points, 11 of
+# which (at T = 5.5 and 7) do not settle.
+_STRIP_Y = 50.0
+_STRIP_X = 1200.0
+_ROUNDING = 0.3
 
 
 @dataclass(frozen=True)
@@ -62,8 +77,12 @@ def plancherel_density(lam):
     return out if out.ndim else float(out)
 
 
+@cache
 def _gauss_nodes(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -138,21 +157,49 @@ def _phi_settled(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unresolved(f: TestFunction, lams: np.ndarray) -> np.ndarray:
+    """Points phi_values rejects: outside the strip, or where rounding
+    would keep the settling test of the panel rule from passing.
+
+    The rule sums hat(t) cos(t lam) over 512 * _QUAD_ORDER nodes, each
+    term carrying a rounding error of about eps (1 + x) times its size
+    (the argument t lam is rounded), so the sum's error is about
+    eps (1 + x) sqrt(T/nodes * integral of (hat(t) cosh(t Im lam))^2).
+    |phi| is estimated from the saddle point of its integral at t = T:
+    the integral of hat(t) cosh(t Im lam), times exp(-loss) and a
+    power-law prefactor.  Both integrals use 64 Gauss nodes.
+    """
+    x, y = f.T * np.abs(lams.real), f.T * np.abs(lams.imag)
+    g, gw = _gauss_nodes(64)
+    t = 0.5 * f.T * (1.0 + g)
+    h, w = (2.0 / _SQRT_2PI) * f.hat(t), 0.5 * f.T * gw
+    # past the strip a point is rejected anyway; clipping keeps cosh finite
+    ch = np.cosh(np.multiply.outer(np.minimum(y, _STRIP_Y) / f.T, t))
+    loss = np.sqrt(2.0 * f.k * (y - 1j * x)).real - np.sqrt(2.0 * f.k * y)
+    prefactor = ((1.0 + y) / (1.0 + np.hypot(x, y))) ** 0.75
+    phi = (ch @ (w * h)) * np.exp(-loss) * prefactor
+    nodes = _PANELS[-1] * _QUAD_ORDER
+    err = _ROUNDING * np.finfo(float).eps * (1.0 + x) * np.sqrt(
+        (ch * ch) @ (w * h * h) * f.T / nodes
+    )
+    return (y > _STRIP_Y) | (x > _STRIP_X) | (err > 1e-12 * phi + 1e-15)
+
+
 def phi_values(f: TestFunction, lams) -> np.ndarray:
     """phi at every point of `lams`, as a complex array of the same shape.
 
     Each value is exactly what the point would get on its own.  On the
     real axis it is computed in real arithmetic and is exactly real; on
     the imaginary axis cos(i t y) = cosh(t y) is real, so only the real
-    part is kept.  One point outside the strip |Im lambda| <= 50/T
-    rejects the whole batch.
+    part is kept.  One point outside the region the quadrature settles
+    (`_unresolved`) rejects the whole batch before any quadrature runs.
     """
     lams = np.asarray(lams, dtype=complex)
-    bound = 50.0 / f.T
-    height = np.abs(lams.imag)
-    if np.any(height > bound):
+    bad = _unresolved(f, lams)
+    if np.any(bad):
         raise ArgumentOutOfStrip(
-            "|Im lambda| = %g exceeds strip bound %g" % (height.max(), bound)
+            "phi quadrature cannot resolve lambda = %s at T = %g, k = %d"
+            % (lams[bad][0], f.T, f.k)
         )
     out = np.empty_like(lams)
     real = lams.imag == 0.0

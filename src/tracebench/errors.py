@@ -40,7 +40,9 @@ class SingularImage(ValidationError):
 
 
 class ArgumentOutOfStrip(ValidationError):
-    """Test-function argument outside the admissible horizontal strip."""
+    """Test-function argument where phi cannot be evaluated: outside the
+    strip |Im lambda| <= 50/T, or inside it where the quadrature cannot
+    settle."""
 
 
 class IncompleteLengthSpectrum(ValidationError):

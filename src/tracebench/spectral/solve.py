@@ -3,12 +3,21 @@
 Up to 8000 free dofs the dense path reduces K x = lam M x to an ordinary
 eigenproblem and runs the QR algorithm; a Hermitian pencil goes through
 the symmetric-definite reduction instead.  Either runs in real arithmetic
-when neither K nor M has a nonzero imaginary part.  Above 8000 dofs
-ARPACK runs in shift-invert mode at 0 from a fixed start vector.  A Hermitian
-pencil uses ARPACK's generalized mode, which needs a Hermitian M.  The
-Petrov-Galerkin M of a non-unitary twist is not Hermitian, so that
-pencil runs in standard mode on (K - sigma M)^-1 M, whose eigenvalue nu
-gives lam = sigma + 1/nu (Ericsson & Ruhe, Math. Comp. 35, 1980).
+when neither K nor M has a nonzero imaginary part.
+
+Memory: K and M are made dense once each, in Fortran order, and LAPACK
+works in that memory (overwrite flags on every call, so f2py copies
+nothing); the LU factor and M are dropped before the QR algorithm runs.
+For n free dofs the peak is near 4 n^2 items: the two matrices and the
+symmetric-definite workspace, or M^-1 K with the real and the complex
+eigenvectors (a complex non-Hermitian pencil stays near 2.5 n^2).
+
+Above 8000 dofs ARPACK runs in shift-invert mode at 0 from a fixed start
+vector.  A Hermitian pencil uses ARPACK's generalized mode, which needs a
+Hermitian M.  The Petrov-Galerkin M of a non-unitary twist is not
+Hermitian, so that pencil runs in standard mode on (K - sigma M)^-1 M,
+whose eigenvalue nu gives lam = sigma + 1/nu (Ericsson & Ruhe, Math.
+Comp. 35, 1980).
 
 The requested number of eigenvalues of least modulus is kept, sorted by
 (Re, Im), and only those are checked: each kept eigenvector is
@@ -46,10 +55,13 @@ class SpectrumResult:
 def _dense_eig(K, M, hermitian: bool):
     if not (np.any(K.data.imag) or np.any(M.data.imag)):
         K, M = K.real, M.real
-    Kd, Md = K.toarray(), M.toarray()
+    Kd, Md = K.toarray(order="F"), M.toarray(order="F")
     if hermitian:
-        return sla.eigh(Kd, Md)
-    return sla.eig(sla.lu_solve(sla.lu_factor(Md), Kd))
+        return sla.eigh(Kd, Md, overwrite_a=True, overwrite_b=True)
+    lu = sla.lu_factor(Md, overwrite_a=True)
+    Kd = sla.lu_solve(lu, Kd, overwrite_b=True)
+    del lu, Md  # only M^-1 K, in K's memory, is alive while eig runs
+    return sla.eig(Kd, overwrite_a=True)
 
 
 def _sparse_eig(K, M, count, hermitian: bool):

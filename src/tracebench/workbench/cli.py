@@ -54,19 +54,20 @@ def _class_rows(classes):
 
 
 def _classes_from_rows(g, rows):
-    from ..fuchsian import ConjugacyClass, evaluate_word, parse_word
+    from ..fuchsian import ConjugacyClass, evaluate_words, parse_word
 
-    out = []
-    for length_s, trace_s, power_s, _, word_s in rows:
-        w = parse_word(word_s)
-        out.append(ConjugacyClass(
+    words = [parse_word(row[4]) for row in rows]
+    return [
+        ConjugacyClass(
             rep_word=w,
-            rep_matrix=evaluate_word(g, w),
+            rep_matrix=m,
             trace=float(trace_s),
             length=float(length_s),
             power=int(power_s),
-        ))
-    return out
+        )
+        for (length_s, trace_s, power_s, _, _), w, m
+        in zip(rows, words, evaluate_words(g, words))
+    ]
 
 
 def _lengths_cache_fields(cfg):

@@ -2,14 +2,19 @@
 
 They build checks out of the package's own pieces: the complex conjugate
 and similarity transforms of a representation, whose spectra and traces
-are known functions of the original's, and the inverse cosine transform
-that confirms the transform convention of `tracebench.analysis`.
+are known functions of the original's, the inverse cosine transform
+that confirms the transform convention of `tracebench.analysis`, and two
+one-at-a-time forms that the package's batched or in-place ones must
+match bit for bit: a word product letter by letter, and the copying
+dense eigensolve.
 """
 
 import numpy as np
+import scipy.linalg as sla
 
 from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
+from tracebench.hyperbolic import canonical_sign, mat_inv, renormalize
 from tracebench.reps import Representation
 
 _COND_CEIL = 1e12
@@ -62,3 +67,26 @@ def fourier_roundtrip(f: TestFunction) -> float:
     else:
         raise QuadratureNotConverged("roundtrip tail did not settle")
     return float(np.max(np.abs(total - f.hat(tgrid))))
+
+
+def evaluate_word_by_letter(g, w) -> np.ndarray:
+    """One word's generator product, one matrix at a time."""
+    out = np.eye(2)
+    for l in w:
+        m = g.generators[abs(l) - 1]
+        out = renormalize(out @ (m if l > 0 else mat_inv(m)))
+    return canonical_sign(out)
+
+
+def dense_eig_copying(K, M, hermitian: bool):
+    """The dense pencil solve with C-order matrices and no overwrites.
+
+    The same LAPACK calls as `tracebench.spectral.solve._dense_eig` on the
+    same data, but each call works on a Fortran-order copy of its inputs.
+    """
+    if not (np.any(K.data.imag) or np.any(M.data.imag)):
+        K, M = K.real, M.real
+    Kd, Md = K.toarray(), M.toarray()
+    if hermitian:
+        return sla.eigh(Kd, Md)
+    return sla.eig(sla.lu_solve(sla.lu_factor(Md), Kd))

@@ -9,8 +9,10 @@ one configuration.
 import numpy as np
 import pytest
 
+from tracebench import analysis
 from tracebench.analysis import (
     TestFunction,
+    _gauss_nodes,
     _phi_many,
     identity_term,
     phi_at,
@@ -99,6 +101,22 @@ def test_strip_guard():
     phi_at(f, 1.0 + 24.9j)
 
 
+@pytest.mark.parametrize("T, lam", [(4.0, 60 + 3j), (4.0, 40 + 5j), (5.5, 40 + 3j)])
+def test_unresolvable_points_rejected_up_front(T, lam, monkeypatch):
+    # inside |Im lam| <= 50/T, but 512 panels cannot settle phi there:
+    # the rejection must come from the guard, before any quadrature runs
+    f = TestFunction(T=T, k=2)
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(analysis, "_phi_settled", no_quadrature)
+    with pytest.raises(ArgumentOutOfStrip):
+        phi_values(f, np.array([0.5, lam]))
+    with pytest.raises(ArgumentOutOfStrip):
+        phi_at(f, -lam.conjugate())
+
+
 def _one_point(f, lam):
     """phi at lam as a one-point batch of _phi_many, real on both axes."""
     lam = complex(lam)
@@ -131,6 +149,14 @@ def test_phi_values_bitwise_equal_to_single_points():
     # one point beyond the strip rejects the whole batch
     with pytest.raises(ArgumentOutOfStrip):
         phi_values(f, np.append(pts, 1.0 + 13.0j))
+
+
+def test_gauss_nodes_cached_and_read_only():
+    x, w = _gauss_nodes(32)
+    assert _gauss_nodes(32)[0] is x and _gauss_nodes(32)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    x0, w0 = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
 
 
 def test_plancherel_density_basics():
@@ -197,8 +223,10 @@ def test_fourier_roundtrip_zero_function():
 
 def test_quadrature_guard_on_rough_integrand():
     class RoughHat:
-        # aliasing noise that panel refinement can never settle
+        # aliasing noise that panel refinement can never settle; k sizes
+        # the region phi_values accepts
         T = 2.0
+        k = 1
 
         def hat(self, t):
             t = np.asarray(t, dtype=float)

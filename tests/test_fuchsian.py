@@ -49,6 +49,8 @@ from tracebench.hyperbolic import (
 )
 from tracebench.reps import character_rep, trace_on_class
 
+from reference import evaluate_word_by_letter
+
 # --- closed-form octagon constants, derived here from scratch ---
 # regular hyperbolic octagon with vertex angle 2*pi/8: the right triangle
 # (center, side midpoint, corner) gives cosh R = cot^2(pi/8) for the
@@ -233,9 +235,9 @@ def test_missing_power_raises(group, monkeypatch):
 
 def _perturbed_words(monkeypatch, eps=1e-4):
     """Make every word evaluation land eps off its true matrix."""
-    exact = fuchsian.evaluate_word
+    exact = fuchsian.evaluate_words
     monkeypatch.setattr(
-        fuchsian, "evaluate_word", lambda g, w: exact(g, w) + eps
+        fuchsian, "evaluate_words", lambda g, ws: exact(g, ws) + eps
     )
 
 
@@ -257,6 +259,18 @@ def test_word_check_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
     code = cli.main(["--config", str(conf), "--out", str(tmp_path), "enumerate"])
     assert code == 3
     assert "away from its matrix" in capsys.readouterr().err
+
+
+def test_batched_words_match_letter_by_letter(group):
+    # the word check and the warm lengths.csv read evaluate every class
+    # word in one batch; each product must be the one-word product's bits
+    words = [c.rep_word for c in enumerate_classes(group, 7.0)]
+    words += [(), RELATOR] + list(group.pairing_words)
+    ev = fuchsian.evaluate_words(group, words)
+    assert ev.shape == (len(words), 2, 2)
+    for w, m in zip(words, ev):
+        assert np.array_equal(m, evaluate_word_by_letter(group, w)), w
+        assert np.array_equal(m, evaluate_word(group, w)), w
 
 
 # --- brute-force oracle ---

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,11 @@ from tracebench.spectral.assemble import AssembledSystem, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 from tracebench.spectral.solve import solve_spectrum
 
-from reference import conjugate_rep, similar_rep
+from reference import conjugate_rep, dense_eig_copying, similar_rep
+
+# one twist per dense branch: real Hermitian, real non-Hermitian (a
+# non-unitary character), complex Hermitian (a unitary one)
+_TWISTS = {"trivial": 1, "e03": np.exp(0.3), "unitary": np.exp(1j * np.pi / 3)}
 
 
 def _flat(spec):
@@ -185,3 +191,30 @@ def test_arpack_error_is_not_a_shift_failure(group, routine, monkeypatch):
     monkeypatch.setattr(spla, routine, failed)
     with pytest.raises(SolverNotConverged, match="No shifts could be applied"):
         solve_spectrum(sys, 6)
+
+
+@pytest.mark.parametrize("twist", sorted(_TWISTS))
+def test_in_place_dense_solve_is_bit_identical(group, twist):
+    sys = assemble(build_octagon_mesh(3, group),
+                   character_rep((_TWISTS[twist], 1, 1, 1)))
+    w, v = solve._dense_eig(sys.K, sys.M, sys.is_hermitian)
+    w_ref, v_ref = dense_eig_copying(sys.K, sys.M, sys.is_hermitian)
+    assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("twist", sorted(_TWISTS))
+def test_dense_solve_peak_memory(group, twist):
+    # one dense copy each of K and M plus LAPACK's workspace and outputs:
+    # about 4 n^2 items on either branch (6 n^2 when f2py copies the inputs)
+    sys = assemble(build_octagon_mesh(4, group),
+                   character_rep((_TWISTS[twist], 1, 1, 1)))
+    real = not (np.any(sys.K.data.imag) or np.any(sys.M.data.imag))
+    item = 8 if real else 16
+    tracemalloc.start()
+    try:
+        solve._dense_eig(sys.K, sys.M, sys.is_hermitian)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * sys.N_free**2 * item
