@@ -398,8 +398,8 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
 # s needs only arithmetic on per-form and per-conjugator values, so every
 # pair gets it and only pairs whose distance lies within 0.11 plus this
 # slack of the form's minimum are conjugated.  On the conjugates the exact
-# rule keeps, the filter's distance differs from the one it measures on the
-# raw product by at most 1.7e-5 at L_MAX_CAP, over every pulled form
+# rule keeps, the filter's distance and the rule's (on the renormalized
+# conjugate) differ by at most 2.3e-6 at L_MAX_CAP, over every pulled form
 # (test_axis_filter_gap_is_below_the_slack), so the filter drops none.
 _FILTER_SLACK = 0.02
 
@@ -453,15 +453,9 @@ def _canonical_forms(forms: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
 
-    # the exact rule on the pairs left, form by form in delta order.  Axis
-    # distances of the raw products differ from the renormalized ones by at
-    # most 1.7e-5 up to L_MAX_CAP, so only conjugates within 0.1 + 1e-2 of
-    # the raw minimum can be candidates; just those are renormalized
+    # the exact rule on the pairs left, form by form in delta order
     conj = _conjugate(delta[cols], forms[rows], delta_inv[cols])
-    raw = axis_dist_to_origin(conj)
-    near = raw <= _group_min(raw, rows) + 0.11
-    rows, cols = rows[near], cols[near]
-    conj = canonical_sign(renormalize(conj[near]))
+    conj = canonical_sign(renormalize(conj))
     dist = axis_dist_to_origin(conj)
     cand = dist <= _group_min(dist, rows) + 0.1
     rows, cols, conj = rows[cand], cols[cand], conj[cand]

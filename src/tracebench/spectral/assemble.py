@@ -16,6 +16,11 @@ and could never produce the complex spectra the non-selfadjoint operator
 actually has.  When the defect is at unitary working precision the dual
 twist coincides with chi and we use literally the same constraint matrix,
 so the Hermitian structure is exact, not approximate.
+
+Assembly alone decides the pencil's field.  Every fibre dimension d is
+lifted as K (x) I_d; when the reduced K and M have no nonzero imaginary
+part (any real representation) they are returned as float64, else as
+complex128, and the solvers run in that dtype.
 """
 
 from __future__ import annotations
@@ -177,19 +182,17 @@ def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
         }
         D = _constraint(dual)
 
-    if d > 1:
-        Kbig = sp.kron(K, sp.identity(d, format="csr"), format="csr")
-        Mbig = sp.kron(M, sp.identity(d, format="csr"), format="csr")
-    else:
-        Kbig, Mbig = K.astype(complex), M.astype(complex)
-
-    Khat = (D.conj().T @ Kbig @ C).tocsr()
-    Mhat = (D.conj().T @ Mbig @ C).tocsr()
+    eye = sp.identity(d, format="csr")
+    Khat = (D.conj().T @ sp.kron(K, eye, format="csr") @ C).tocsr()
+    Mhat = (D.conj().T @ sp.kron(M, eye, format="csr") @ C).tocsr()
     if hermitian:
         # symmetrize away last-bit asymmetry so the Hermitian solvers see
         # exactly Hermitian matrices
         Khat = ((Khat + Khat.conj().T) * 0.5).tocsr()
         Mhat = ((Mhat + Mhat.conj().T) * 0.5).tocsr()
+    if not (np.any(Khat.data.imag) or np.any(Mhat.data.imag)):
+        # copied: .real alone is a strided view, which SuperLU refuses
+        Khat, Mhat = Khat.real.copy(), Mhat.real.copy()
 
     return AssembledSystem(
         K=Khat,

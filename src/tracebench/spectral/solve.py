@@ -1,9 +1,11 @@
-"""Generalized eigensolvers for the assembled pencil.
+"""Generalized eigensolvers for the assembled pencil, in its own field.
+
+Assembly gives float64 K and M for a real representation and complex128
+otherwise; the LAPACK and the ARPACK path both run in that dtype.
 
 Up to 8000 free dofs the dense path reduces K x = lam M x to an ordinary
 eigenproblem and runs the QR algorithm; a Hermitian pencil goes through
-the symmetric-definite reduction instead.  Either runs in real arithmetic
-when neither K nor M has a nonzero imaginary part.
+the symmetric-definite reduction instead.
 
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
 works in that memory (overwrite flags on every call, so f2py copies
@@ -53,8 +55,6 @@ class SpectrumResult:
 
 
 def _dense_eig(K, M, hermitian: bool):
-    if not (np.any(K.data.imag) or np.any(M.data.imag)):
-        K, M = K.real, M.real
     Kd, Md = K.toarray(order="F"), M.toarray(order="F")
     if hermitian:
         return sla.eigh(Kd, Md, overwrite_a=True, overwrite_b=True)
@@ -67,17 +67,15 @@ def _dense_eig(K, M, hermitian: bool):
 def _sparse_eig(K, M, count, hermitian: bool):
     n = K.shape[0]
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for reproducibility
-    sigma = 0j
+    sigma = 0.0
     last = None
     for _ in range(2):
         try:
             if hermitian:
-                return spla.eigsh(
-                    K, k=count, M=M, sigma=float(sigma.real), v0=v0
-                )
+                return spla.eigsh(K, k=count, M=M, sigma=sigma, v0=v0)
             lu = spla.splu((K - sigma * M).tocsc())
             op = spla.LinearOperator(
-                K.shape, matvec=lambda x: lu.solve(M @ x), dtype=complex
+                K.shape, matvec=lambda x: lu.solve(M @ x), dtype=K.dtype
             )
             nu, v = spla.eigs(op, k=count, v0=v0)
             return sigma + 1.0 / nu, v

@@ -84,8 +84,6 @@ def dense_eig_copying(K, M, hermitian: bool):
     The same LAPACK calls as `tracebench.spectral.solve._dense_eig` on the
     same data, but each call works on a Fortran-order copy of its inputs.
     """
-    if not (np.any(K.data.imag) or np.any(M.data.imag)):
-        K, M = K.real, M.real
     Kd, Md = K.toarray(), M.toarray()
     if hermitian:
         return sla.eigh(Kd, Md)

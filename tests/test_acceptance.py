@@ -300,3 +300,30 @@ def test_criterion_8_convergence(group, classes_L6, spec900):
     print(line)
     assert order >= 1.7, line
     assert rels[3] > rels[4] > rels[5], line
+
+
+@pytest.mark.slow
+def test_criterion_9_rank2_holonomy(group, mesh5):
+    # the generators themselves: irreducible, rank 2, not unitary.  Level 5
+    # has 8,188 dofs, so it runs the real ARPACK path
+    r = from_generator_images(group.generators)
+    classes = enumerate_classes(group, 7.0)
+    fns = [TestFunction(T=t, k=2) for t in (4.0, 5.5, 7.0)]
+    geo = [geometric_side(group, classes, r, f, L_max=7.0).total for f in fns]
+    rels = {}
+    for level, count in ((3, 127), (4, 300), (5, 300)):
+        mesh = mesh5 if level == 5 else build_octagon_mesh(level, group)
+        spec = solve_spectrum(assemble(mesh, r), count)
+        rels[level] = [
+            abs(spectral_side(spec, f, group.covolume) - g) / abs(g)
+            for f, g in zip(fns, geo)
+        ]
+    line = "criterion 9: " + "; ".join(
+        "T=%g: %.2e > %.2e > %.2e (gate margin %.1fx)"
+        % (f.T, rels[3][i], rels[4][i], rels[5][i],
+           THRESHOLD / max(rels[4][i], rels[5][i]))
+        for i, f in enumerate(fns)
+    )
+    print(line)
+    assert all(q <= THRESHOLD for level in (4, 5) for q in rels[level]), line
+    assert all(rels[3][i] > rels[4][i] > rels[5][i] for i in range(len(fns))), line

@@ -51,6 +51,26 @@ def test_nonunitary_breaks_hermitian_symmetry(group):
     assert rel > 1e-3  # genuine, not roundoff
 
 
+@pytest.mark.parametrize(
+    "chi, dtype",
+    [(1, np.float64), (np.exp(0.3), np.float64), (None, np.float64),
+     (np.exp(1j * np.pi / 3), np.complex128)],
+    ids=["trivial", "e03", "holonomy", "unitary"],
+)
+def test_pencil_field_is_decided_at_assembly(group, chi, dtype):
+    # a real representation gives a real pencil, stored as float64 with
+    # contiguous data (SuperLU refuses a strided view); a complex one stays
+    # complex128.  None stands for the rank-2 holonomy representation
+    if chi is None:
+        r = from_generator_images(group.generators)
+    else:
+        r = character_rep((chi, 1, 1, 1))
+    sys = assemble(build_octagon_mesh(2, group), r)
+    for m in (sys.K, sys.M):
+        assert m.dtype == dtype
+        assert m.data.flags["C_CONTIGUOUS"]
+
+
 def test_rank2_trivial_decouples(group):
     mesh = build_octagon_mesh(2, group)
     eye = np.eye(2)

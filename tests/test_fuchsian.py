@@ -428,10 +428,11 @@ def _search_inputs(L):
     return pulled, delta, mat_inv(delta)
 
 
+@pytest.mark.slow
 def test_canonical_search_matches_full_search():
-    # the search conjugates only the pairs its axis filter keeps and
-    # renormalizes only those near the raw minimum; it must pick the same
-    # conjugator, and the same bits, as renormalizing every conjugate
+    # the search conjugates only the pairs its axis filter keeps; it must
+    # pick the same conjugator, and the same bits, as renormalizing every
+    # conjugate
     for L, forms in [(6.0, 1952), (fuchsian.L_MAX_CAP, 7099)]:
         pulled, delta, delta_inv = _search_inputs(L)
         assert pulled.shape[0] == forms
@@ -444,8 +445,8 @@ def test_canonical_search_matches_full_search():
 
 
 def test_axis_filter_gap_is_below_the_slack():
-    # the filter's distance d(delta^-1 o, axis p) and the exact rule's raw
-    # distance of the unrenormalized conjugate agree to far less than the
+    # the filter's distance d(delta^-1 o, axis p) and the exact rule's
+    # distance of the renormalized conjugate agree to far less than the
     # slack on every conjugate the exact rule keeps, so the filter drops
     # none of them (it keeps pairs within 0.11 + slack of its own minimum)
     pulled, delta, delta_inv = _search_inputs(fuchsian.L_MAX_CAP)
@@ -454,9 +455,10 @@ def test_axis_filter_gap_is_below_the_slack():
     for lo, s in fuchsian._axis_sinh(pulled, delta_inv):
         filt = np.arccosh(np.maximum(s / half[lo:lo + s.shape[0], None], 1.0))
         for i, f in enumerate(filt):
-            raw = axis_dist_to_origin(fuchsian._conjugate(delta, pulled[lo + i], delta_inv))
-            near = raw <= raw.min() + 0.11
-            gap = max(gap, float(np.abs(f[near] - raw[near]).max()))
+            conj = fuchsian._conjugate(delta, pulled[lo + i], delta_inv)
+            dist = axis_dist_to_origin(renormalize(conj))
+            near = dist <= dist.min() + 0.11
+            gap = max(gap, float(np.abs(f[near] - dist[near]).max()))
     print("axis filter gap %.3g, slack %g, margin %.0fx"
           % (gap, fuchsian._FILTER_SLACK, fuchsian._FILTER_SLACK / gap))
     assert gap <= fuchsian._FILTER_SLACK / 100

@@ -149,6 +149,29 @@ def test_sparse_path_matches_dense(group, twist, monkeypatch):
     assert np.all(gap.min(axis=0) <= 1e-10 * (1 + np.abs(dense)))
 
 
+def test_real_pencil_factors_and_iterates_in_float64(group, monkeypatch):
+    # a real non-Hermitian pencil takes real SuperLU and real ARPACK
+    # (dnaupd), not their complex forms
+    sys = assemble(build_octagon_mesh(3, group),
+                   character_rep((np.exp(0.3), 1, 1, 1)))
+    seen = {}
+    splu, eigs = spla.splu, spla.eigs
+
+    def spy_splu(A, *args, **kwargs):
+        seen["splu"] = A.dtype
+        return splu(A, *args, **kwargs)
+
+    def spy_eigs(A, *args, **kwargs):
+        seen["eigs"] = A.dtype
+        return eigs(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spla, "splu", spy_splu)
+    monkeypatch.setattr(spla, "eigs", spy_eigs)
+    solve_spectrum(sys, 40)
+    assert seen == {"splu": np.float64, "eigs": np.float64}
+
+
 def test_shift_on_eigenvalue_exhausts_retries(monkeypatch):
     # diag pencil with eigenvalues 0 and 1e-3: the shift 0 and the nudged
     # retry 1e-3 both make K - shift*M exactly singular
@@ -156,8 +179,8 @@ def test_shift_on_eigenvalue_exhausts_retries(monkeypatch):
     diag = np.arange(2.0, n + 2.0)
     diag[0] = 0.0
     diag[1] = 1e-3
-    K = sp.diags(diag).tocsr().astype(complex)
-    M = sp.identity(n, format="csr", dtype=complex)
+    K = sp.diags(diag).tocsr()
+    M = sp.identity(n, format="csr")
     sys = AssembledSystem(K=K, M=M, d=1, N_free=n, is_hermitian=True,
                           mesh_h=0.1)
     monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
@@ -209,8 +232,7 @@ def test_dense_solve_peak_memory(group, twist):
     # about 4 n^2 items on either branch (6 n^2 when f2py copies the inputs)
     sys = assemble(build_octagon_mesh(4, group),
                    character_rep((_TWISTS[twist], 1, 1, 1)))
-    real = not (np.any(sys.K.data.imag) or np.any(sys.M.data.imag))
-    item = 8 if real else 16
+    item = sys.K.dtype.itemsize
     tracemalloc.start()
     try:
         solve._dense_eig(sys.K, sys.M, sys.is_hermitian)
