@@ -83,10 +83,12 @@ L_MAX_CAP = 7.25
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
 # never merge distinct elements.  They do not always identify equal ones: a
 # drift across a cell boundary leaves one element in two adjacent cells.
-# The ball holds 1 such pair at L_max 6, 52 at L_max 7 and 87 at L_MAX_CAP
+# The ball holds 1 such pair at L_max 6, 17 at L_max 7 and 39 at L_MAX_CAP
 # (pairs of ball elements within 1e-5 of each other; none lies within 1e-3
-# without lying within 1e-5).  Such duplicates cost only repeated work,
-# because classes are keyed by their canonical form.
+# without lying within 1e-5); the search forms no child that steps back to
+# its parent, which would add 35 pairs at L_max 7 and 48 at L_MAX_CAP.
+# Such duplicates cost only repeated work, because classes are keyed by
+# their canonical form.
 # The four integer keys of a matrix are deduped as one row, by the exact
 # bytes of the row (`_add_rows`).
 _KEY_SCALE = 1e-6
@@ -265,6 +267,8 @@ def _bfs_ball(pairings: np.ndarray, radius: float):
     disp(gamma g_k) = d(gamma^{-1} o, g_k o) < d(gamma^{-1} o, o) =
     disp(gamma).  Such neighbours descend from any element of the ball to
     the identity without leaving the ball, so each element is reached.
+    The child of gamma by the inverse of its last letter is gamma's parent
+    and is not formed.
     """
     projected = 1.5 * (np.cosh(radius) - 1.0) / 2.0 + 100.0
     if projected > _BUDGET:
@@ -297,7 +301,11 @@ def _bfs_ball(pairings: np.ndarray, radius: float):
         d = (f[..., 2] * p[..., 1] + f[..., 3] * p[..., 3]).ravel()
         beta2 = (a - d) ** 2 + (b + c) ** 2                # 4 |beta|^2
         alpha2 = (a + d) ** 2 + (b - c) ** 2               # 4 |alpha|^2
-        near = np.flatnonzero(beta2 <= q2_max * alpha2)
+        inside = beta2 <= q2_max * alpha2
+        # the child by the inverse of an element's last letter is its parent
+        last = letter[-1].astype(np.int64)
+        inside[(8 * np.arange(n) + (last + 4) % 8)[last >= 0]] = False
+        near = np.flatnonzero(inside)
         child = np.stack([a[near], b[near], c[near], d[near]], axis=1).reshape(-1, 2, 2)
         child = canonical_sign(renormalize(child))
         cdisp = displacement(child)

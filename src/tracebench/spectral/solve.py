@@ -5,14 +5,17 @@ otherwise; the LAPACK and the ARPACK path both run in that dtype.
 
 Up to 8000 free dofs the dense path reduces K x = lam M x to an ordinary
 eigenproblem and runs the QR algorithm; a Hermitian pencil goes through
-the symmetric-definite reduction instead.
+the symmetric-definite reduction instead.  A LAPACK failure raises
+SolverNotConverged, as an ARPACK one does.
 
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
 works in that memory (overwrite flags on every call, so f2py copies
-nothing); the LU factor and M are dropped before the QR algorithm runs.
-For n free dofs the peak is near 4 n^2 items: the two matrices and the
-symmetric-definite workspace, or M^-1 K with the real and the complex
-eigenvectors (a complex non-Hermitian pencil stays near 2.5 n^2).
+nothing); the LU factor and M are dropped before the QR algorithm runs,
+and M^-1 K as soon as it returns.  Of the real QR algorithm's eigenvector
+columns only the kept ones become complex vectors.  For n free dofs the
+peak is near 4 n^2 items for a Hermitian pencil (the two matrices and the
+symmetric-definite workspace) and near 2 n^2 for a non-Hermitian one, real
+or complex (M^-1 K and the eigenvectors).
 
 Above 8000 dofs ARPACK runs in shift-invert mode at 0 from a fixed start
 vector.  A Hermitian pencil uses ARPACK's generalized mode, which needs a
@@ -54,14 +57,55 @@ class SpectrumResult:
         return sum(m for _, m, _ in self.eigenvalues)
 
 
-def _dense_eig(K, M, hermitian: bool):
+def _keep(w: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the `count` eigenvalues of least modulus, ties broken by
+    (Re, Im), in (Re, Im) order."""
+    order = np.lexsort((w.imag, w.real, np.abs(w)))[:count]
+    return order[np.lexsort((w[order].imag, w[order].real))]
+
+
+def _dense_eig(K, M, hermitian: bool, count: int):
+    """The kept eigenpairs (`_keep`) of the pencil, by dense LAPACK."""
     Kd, Md = K.toarray(order="F"), M.toarray(order="F")
     if hermitian:
-        return sla.eigh(Kd, Md, overwrite_a=True, overwrite_b=True)
+        try:
+            w, v = sla.eigh(Kd, Md, overwrite_a=True, overwrite_b=True)
+        except np.linalg.LinAlgError as exc:
+            raise SolverNotConverged("LAPACK eigh failed: %s" % exc) from exc
+        keep = _keep(w, count)
+        return w[keep], v[:, keep]
     lu = sla.lu_factor(Md, overwrite_a=True)
     Kd = sla.lu_solve(lu, Kd, overwrite_b=True)
-    del lu, Md  # only M^-1 K, in K's memory, is alive while eig runs
-    return sla.eig(Kd, overwrite_a=True)
+    del lu, Md  # only M^-1 K, in K's memory, is alive while geev runs
+
+    # geev as scipy.linalg.eig calls it, right eigenvectors only
+    geev, geev_lwork = sla.get_lapack_funcs(("geev", "geev_lwork"), (Kd,))
+    work, info = geev_lwork(Kd.shape[0], compute_vl=0, compute_vr=1)
+    if info == 0:
+        *out, info = geev(np.asarray_chkfinite(Kd), lwork=int(work.real),
+                          compute_vl=0, compute_vr=1, overwrite_a=1)
+    if info != 0:
+        raise SolverNotConverged("LAPACK geev failed: info %d" % info)
+    del Kd
+    if geev.typecode in "cz":
+        w, _, vr = out
+        keep = _keep(w, count)
+        return w[keep], vr[:, keep]
+    wr, wi, _, vr = out
+    w = wr + 1j * wi
+    keep = _keep(w, count)
+    # A real geev stores the pair w[j], w[j + 1] = conj(w[j]) as Re x in
+    # column j of vr and Im x in column j + 1.  j opens a pair when Im w[j]
+    # > 0 or Im w[j + 1] < 0, the rule of scipy.linalg.eig; a kept member
+    # whose partner is dropped is built from both columns all the same.
+    opens = w.imag > 0
+    opens[:-1] |= w.imag[1:] < 0
+    closes = np.r_[False, opens[:-1]] & ~opens
+    o, c = opens[keep], closes[keep]
+    v = vr[:, keep - c].astype(complex)
+    v.imag[:, o] = vr[:, keep[o] + 1]
+    v.imag[:, c] = -vr[:, keep[c]]
+    return w[keep], v
 
 
 def _sparse_eig(K, M, count, hermitian: bool):
@@ -119,14 +163,12 @@ def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
         )
 
     if sys.N_free <= _DENSE_CUTOFF:
-        w, v = _dense_eig(sys.K, sys.M, sys.is_hermitian)
+        vals, v = _dense_eig(sys.K, sys.M, sys.is_hermitian, count)
     else:
         w, v = _sparse_eig(sys.K, sys.M, count, sys.is_hermitian)
-    w = w.astype(complex, copy=False)
-
-    order = np.lexsort((w.imag, w.real, np.abs(w)))[:count]
-    keep = order[np.lexsort((w[order].imag, w[order].real))]
-    vals, v = w[keep], v[:, keep].astype(complex, copy=False)
+        keep = _keep(w, count)
+        vals, v = w[keep], v[:, keep]
+    vals, v = vals.astype(complex, copy=False), v.astype(complex, copy=False)
 
     # pencil residuals with unit-norm eigenvectors
     v = v / np.linalg.norm(v, axis=0, keepdims=True)

@@ -49,7 +49,7 @@ from tracebench.hyperbolic import (
 )
 from tracebench.reps import character_rep, trace_on_class
 
-from reference import evaluate_word_by_letter
+from reference import bfs_ball_every_child, evaluate_word_by_letter
 
 # --- closed-form octagon constants, derived here from scratch ---
 # regular hyperbolic octagon with vertex angle 2*pi/8: the right triangle
@@ -378,6 +378,32 @@ def test_ball_matches_reference(group, L):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("L", [6.0, fuchsian.L_MAX_CAP])
+def test_ball_skips_only_back_steps(group, L, monkeypatch):
+    # the child by the inverse of an element's last letter is the parent
+    # again; the search through every child keeps one only when rounding
+    # drift puts it in a new key cell (none at L_max 6, 48 at the cap).
+    # Skipping them drops those and changes nothing else, classes included
+    mats, disp, parent, letter = bfs_ball_every_child(group.pairings, _r_keep(group, L))
+    back = np.zeros(mats.shape[0], dtype=bool)
+    back[1:] = (parent[1:] > 0) & (letter[1:] == (letter[parent[1:]] + 4) % 8)
+    assert back.any() == (L > 7)
+    kept = ~back
+    renumber = np.cumsum(kept) - 1
+    want = (mats[kept], disp[kept], np.r_[-1, renumber[parent[kept][1:]]], letter[kept])
+    for got, w in zip(_ball(group, L), want):
+        assert got.dtype == w.dtype
+        assert np.array_equal(got, w)
+
+    def fields(classes):
+        return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
+                for c in classes]
+
+    classes = enumerate_classes(group, L)
+    monkeypatch.setattr(fuchsian, "_bfs_ball", bfs_ball_every_child)
+    assert fields(enumerate_classes(group, L)) == fields(classes)
+
+
 def _reference_canonical(pulled, delta, delta_inv):
     """Canonical conjugate of one pulled element, every conjugate exact."""
     conj = np.einsum("nij,jk,nkl->nil", delta, pulled, delta_inv)
@@ -433,7 +459,7 @@ def test_canonical_search_matches_full_search():
     # the search conjugates only the pairs its axis filter keeps; it must
     # pick the same conjugator, and the same bits, as renormalizing every
     # conjugate
-    for L, forms in [(6.0, 1952), (fuchsian.L_MAX_CAP, 7099)]:
+    for L, forms in [(6.0, 1952), (fuchsian.L_MAX_CAP, 7096)]:
         pulled, delta, delta_inv = _search_inputs(L)
         assert pulled.shape[0] == forms
         got, keys, idx = fuchsian._canonical_forms(pulled, delta, delta_inv)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -12,12 +13,15 @@ from tracebench.spectral import solve
 from tracebench.spectral.assemble import AssembledSystem, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 from tracebench.spectral.solve import solve_spectrum
+from tracebench.workbench.cli import main
 
 from reference import conjugate_rep, dense_eig_copying, similar_rep
 
 # one twist per dense branch: real Hermitian, real non-Hermitian (a
-# non-unitary character), complex Hermitian (a unitary one)
-_TWISTS = {"trivial": 1, "e03": np.exp(0.3), "unitary": np.exp(1j * np.pi / 3)}
+# non-unitary character), complex Hermitian (a unitary one), complex
+# non-Hermitian (a non-unitary complex one)
+_TWISTS = {"trivial": 1, "e03": np.exp(0.3), "unitary": np.exp(1j * np.pi / 3),
+           "skew": 1.1 * np.exp(0.4j)}
 
 
 def _flat(spec):
@@ -216,27 +220,97 @@ def test_arpack_error_is_not_a_shift_failure(group, routine, monkeypatch):
         solve_spectrum(sys, 6)
 
 
-@pytest.mark.parametrize("twist", sorted(_TWISTS))
-def test_in_place_dense_solve_is_bit_identical(group, twist):
-    sys = assemble(build_octagon_mesh(3, group),
-                   character_rep((_TWISTS[twist], 1, 1, 1)))
-    w, v = solve._dense_eig(sys.K, sys.M, sys.is_hermitian)
-    w_ref, v_ref = dense_eig_copying(sys.K, sys.M, sys.is_hermitian)
+# counts at level 3 that keep the lower member of a conjugate pair of the
+# e^0.3 pencil and drop the upper one
+_SPLIT_COUNTS = (11, 13, 15, 24, 36, 40, 47, 49, 62)
+
+
+@pytest.mark.parametrize(
+    "twist,count",
+    [pytest.param(t, None, id=t) for t in sorted(_TWISTS) + ["holonomy"]]
+    + [pytest.param("e03", c, id="e03-%d" % c) for c in _SPLIT_COUNTS],
+)
+def test_in_place_dense_solve_is_bit_identical(group, twist, count):
+    # holonomy: the real non-Hermitian pencil of a d = 2 representation
+    if twist == "holonomy":
+        r = from_generator_images(group.generators)
+    else:
+        r = character_rep((_TWISTS[twist], 1, 1, 1))
+    sys = assemble(build_octagon_mesh(3, group), r)
+    count = count or sys.N_free // 4
+    w, v = solve._dense_eig(sys.K, sys.M, sys.is_hermitian, count)
+    w_ref, v_ref = dense_eig_copying(sys.K, sys.M, sys.is_hermitian, count)
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    if count in _SPLIT_COUNTS:
+        lone = [z for z in w if z.imag != 0 and np.conj(z) not in w]
+        assert lone and all(z.imag < 0 for z in lone)
 
 
 @pytest.mark.parametrize("twist", sorted(_TWISTS))
 def test_dense_solve_peak_memory(group, twist):
-    # one dense copy each of K and M plus LAPACK's workspace and outputs:
-    # about 4 n^2 items on either branch (6 n^2 when f2py copies the inputs)
+    # a Hermitian pencil: one dense copy each of K and M plus LAPACK's
+    # workspace and outputs, about 4 n^2 items (6 n^2 when f2py copies the
+    # inputs).  A non-Hermitian one holds M^-1 K and the eigenvectors, and
+    # a real one builds complex vectors only for the kept columns: 2.13 n^2
     sys = assemble(build_octagon_mesh(4, group),
                    character_rep((_TWISTS[twist], 1, 1, 1)))
     item = sys.K.dtype.itemsize
+    bound = 4.25 if sys.is_hermitian else 2.25
     tracemalloc.start()
     try:
-        solve._dense_eig(sys.K, sys.M, sys.is_hermitian)
+        solve._dense_eig(sys.K, sys.M, sys.is_hermitian, sys.N_free // 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * sys.N_free**2 * item
+    assert peak <= bound * sys.N_free**2 * item
+
+
+_FAILING_CONF = """
+[run]
+level = 2
+count = 10
+out_dir = {out}
+
+[representation]
+kind = character
+values = 1.35, 1, 1, 1
+
+[test_function.narrow]
+T = 2.0
+k = 2
+"""
+
+
+def test_dense_solve_failure_is_a_solver_error(group, tmp_path, monkeypatch):
+    # a geev that does not converge reports info > 0: a numerical failure,
+    # exit 3, not a validation error
+    get = sla.get_lapack_funcs
+
+    def failing(names, arrays):
+        geev, geev_lwork = get(names, arrays)
+
+        def stalled(*args, **kwargs):
+            return geev(*args, **kwargs)[:-1] + (1,)
+
+        stalled.typecode = geev.typecode
+        return stalled, geev_lwork
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing)
+    sys = assemble(build_octagon_mesh(2, group),
+                   character_rep((np.exp(0.3), 1, 1, 1)))
+    with pytest.raises(SolverNotConverged, match="geev"):
+        solve_spectrum(sys, 10)
+    conf = tmp_path / "exp.ini"
+    conf.write_text(_FAILING_CONF.format(out=tmp_path / "out"))
+    assert main(["--config", str(conf), "spectrum"]) == 3
+
+
+def test_hermitian_dense_failure_is_a_solver_error(sys3, monkeypatch):
+    def failed(*args, **kwargs):
+        raise np.linalg.LinAlgError("the leading minor of order 3 of B is "
+                                    "not positive definite")
+
+    monkeypatch.setattr(sla, "eigh", failed)
+    with pytest.raises(SolverNotConverged, match="leading minor"):
+        solve_spectrum(sys3, 10)
