@@ -9,13 +9,12 @@ the symmetric-definite reduction instead.  A LAPACK failure raises
 SolverNotConverged, as an ARPACK one does.
 
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
-works in that memory (overwrite flags on every call, so f2py copies
-nothing); the LU factor and M are dropped before the QR algorithm runs,
-and M^-1 K as soon as it returns.  Of the real QR algorithm's eigenvector
-columns only the kept ones become complex vectors.  For n free dofs the
-peak is near 4 n^2 items for a Hermitian pencil (the two matrices and the
-symmetric-definite workspace) and near 2 n^2 for a non-Hermitian one, real
-or complex (M^-1 K and the eigenvectors).
+works in that memory (overwrite flags, so f2py copies nothing).  Hermitian:
+sygvd's steps run one by one, the Cholesky factor of M is dropped with M
+while syevd runs and rebuilt for the back-transform (potrf is
+deterministic), so n free dofs peak near 3 n^2 items.  Non-Hermitian: the
+LU factor and M go before the QR algorithm, M^-1 K when it returns, and
+only the kept real eigenvector columns become complex: near 2 n^2 items.
 
 Above 8000 dofs ARPACK runs in shift-invert mode at 0 from a fixed start
 vector.  A Hermitian pencil uses ARPACK's generalized mode, which needs a
@@ -44,6 +43,7 @@ from .assemble import AssembledSystem
 
 _CLUSTER_BASE = 1e-6
 _DENSE_CUTOFF = 8000
+_POTRF = "potrf (M's leading minor of order info is not positive definite)"
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,32 @@ def _keep(w: np.ndarray, count: int) -> np.ndarray:
     return order[np.lexsort((w[order].imag, w[order].real))]
 
 
+def _check(info: int, step: str) -> None:
+    if info != 0:
+        raise SolverNotConverged("LAPACK %s failed: info %d" % (step, info))
+
+
 def _dense_eig(K, M, hermitian: bool, count: int):
     """The kept eigenpairs (`_keep`) of the pencil, by dense LAPACK."""
     Kd, Md = K.toarray(order="F"), M.toarray(order="F")
     if hermitian:
-        try:
-            w, v = sla.eigh(Kd, Md, overwrite_a=True, overwrite_b=True)
-        except np.linalg.LinAlgError as exc:
-            raise SolverNotConverged("LAPACK eigh failed: %s" % exc) from exc
+        # sygvd's four steps in place; the Cholesky factor L is dropped while
+        # syevd runs and rebuilt for trsm (potrf is deterministic: same bits)
+        np.asarray_chkfinite(K.data), np.asarray_chkfinite(M.data)
+        pfx = "he" if Kd.dtype.kind == "c" else "sy"
+        potrf, gst, evd = sla.get_lapack_funcs(
+            ("potrf", pfx + "gst", pfx + "evd"), (Kd,))
+        L, info = potrf(Md, lower=1, overwrite_a=1)
+        _check(info, _POTRF)
+        Kd, info = gst(Kd, L, lower=1, overwrite_a=1)
+        _check(info, pfx + "gst")
+        del L, Md
+        w, v, info = evd(Kd, lower=1, overwrite_a=1)
+        _check(info, pfx + "evd")
+        L, info = potrf(M.toarray(order="F"), lower=1, overwrite_a=1)
+        _check(info, _POTRF)
+        trsm = sla.get_blas_funcs("trsm", (v,))
+        v = trsm(1.0, L, v, lower=1, trans_a=2 if pfx == "he" else 1, overwrite_b=1)
         keep = _keep(w, count)
         return w[keep], v[:, keep]
     lu = sla.lu_factor(Md, overwrite_a=True)
@@ -84,8 +102,7 @@ def _dense_eig(K, M, hermitian: bool, count: int):
     if info == 0:
         *out, info = geev(np.asarray_chkfinite(Kd), lwork=int(work.real),
                           compute_vl=0, compute_vr=1, overwrite_a=1)
-    if info != 0:
-        raise SolverNotConverged("LAPACK geev failed: info %d" % info)
+    _check(info, "geev")
     del Kd
     if geev.typecode in "cz":
         w, _, vr = out
@@ -168,12 +185,10 @@ def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
         w, v = _sparse_eig(sys.K, sys.M, count, sys.is_hermitian)
         keep = _keep(w, count)
         vals, v = w[keep], v[:, keep]
-    vals, v = vals.astype(complex, copy=False), v.astype(complex, copy=False)
-
-    # pencil residuals with unit-norm eigenvectors
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    R = sys.K @ v - (sys.M @ v) * vals[None, :]
-    res = np.linalg.norm(R, axis=0)
+    # pencil residuals with unit-norm eigenvectors, in the pairs' own field
+    v = v * (1.0 / np.linalg.norm(v, axis=0, keepdims=True))
+    res = np.linalg.norm(sys.K @ v - (sys.M @ v) * vals, axis=0)
+    vals = vals.astype(complex, copy=False)
 
     scale = np.abs(sys.K.data).max()
     bad = res > 1e-8 * (1.0 + np.abs(vals)) * scale

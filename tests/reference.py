@@ -6,8 +6,9 @@ are known functions of the original's, the inverse cosine transform
 that confirms the transform convention of `tracebench.analysis`, and
 plain forms that the package's batched, in-place or pruned ones must
 match bit for bit: a word product letter by letter, the copying dense
-eigensolve, and the element ball searched through every child, the step
-back to the parent included.
+eigensolve, the pencil residuals in complex arithmetic, and the element
+ball searched through every child, the step back to the parent
+included.
 """
 
 import numpy as np
@@ -97,6 +98,17 @@ def dense_eig_copying(K, M, hermitian: bool, count: int):
     order = np.lexsort((wc.imag, wc.real, np.abs(wc)))[:count]
     keep = order[np.lexsort((wc[order].imag, wc[order].real))]
     return w[keep], v[:, keep]
+
+
+def pencil_residuals_complex(K, M, vals, v) -> np.ndarray:
+    """The pencil residual norms ||K x - lam M x||_2 of unit-norm
+    eigenvectors as `tracebench.spectral.solve.solve_spectrum` forms them,
+    but with the eigenpairs cast to complex first, whatever the pencil's
+    field."""
+    vals, v = vals.astype(complex, copy=False), v.astype(complex, copy=False)
+    v = v / np.linalg.norm(v, axis=0, keepdims=True)
+    R = K @ v - (M @ v) * vals[None, :]
+    return np.linalg.norm(R, axis=0)
 
 
 def bfs_ball_every_child(pairings: np.ndarray, radius: float):
