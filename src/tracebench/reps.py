@@ -103,15 +103,6 @@ def character_rep(z) -> Representation:
 
 
 def trace_on_class(r: Representation, c: ConjugacyClass) -> complex:
-    if r.dim == 1:
-        # scalars commute; the product collapses to signed letter counts
-        out = 1.0 + 0.0j
-        for i in range(_GENERATOR_COUNT):
-            n = sum(1 for l in c.rep_word if l == i + 1) - sum(
-                1 for l in c.rep_word if l == -(i + 1)
-            )
-            out *= r.images[i, 0, 0] ** n
-        return complex(out)
     return complex(np.trace(_word_image(r, c.rep_word)))
 
 

@@ -4,8 +4,10 @@ The interior bilinear forms are untwisted: Euclidean Dirichlet energy for
 the stiffness (conformally invariant in 2-D, so the hyperbolic metric
 drops out) and the hyperbolic area weight (2/(1-|z|^2))^2 in the mass.
 The representation enters only through the boundary identification: a
-slave node carries chi(g_k) times the value at its master node, and the
-corner orbit collapses to a single fiber through words in the pairings.
+slave node carries chi(g_k)^{-1} times the value at its master node, and
+the corner orbit collapses to a single fiber through words in the
+pairings.  chi^{-1} has the same spectrum and geometric side as chi, so
+the trace identity cannot tell this convention from its inverse.
 
 For non-unitary chi the test space is twisted by the dual representation
 chi*(g) = (chi(g)^H)^{-1} instead of chi itself (a Petrov-Galerkin
@@ -95,42 +97,41 @@ def _scalar_forms(mesh: OctagonMesh):
 
 
 def _identifications(mesh: OctagonMesh, r: Representation):
-    """Per-node constraint factors u[node] = X[node] @ u[root[node]].
+    """Per-node gluing u[node] = factor[node] @ u[root[node]], as arrays
+    root (n,) and factor (n, d, d); an interior node is its own root.
 
-    Nodes are grouped into components of the identification graph built
-    from the side pairings; each component keeps its smallest node index
-    as the free representative.  Every non-tree edge closes a cycle whose
-    chi-product must be the identity (the corner cycle is the relator).
+    Boundary nodes are grouped into components of the identification graph
+    built from the side pairings; each component keeps its smallest node
+    index as the free representative.  Every non-tree edge closes a cycle
+    whose chi-product must be the identity (the corner cycle is the relator).
     """
-    g = mesh.group
-    chi = [
-        _word_image(r, g.pairing_words[k]) for k in range(4)
-    ]
+    chi = [_word_image(r, w) for w in mesh.group.pairing_words[:4]]
     chi_inv = [np.linalg.inv(m) for m in chi]
 
     adj = {}
     for k, master, slave in mesh.boundary_pairing:
         for mi, si in zip(master.tolist(), slave.tolist()):
-            adj.setdefault(si, []).append((mi, k, False))  # u[si]=chi_k u[mi]
-            adj.setdefault(mi, []).append((si, k, True))  # u[mi]=chi_k^-1 u[si]
+            adj.setdefault(si, []).append((mi, k, False))  # u[mi]=chi_k u[si]
+            adj.setdefault(mi, []).append((si, k, True))  # u[si]=chi_k^-1 u[mi]
 
-    eye = np.eye(r.dim, dtype=complex)
-    factor = {}
-    root_of = {}
-    for root in sorted(adj):
-        if root in root_of:
+    n = mesh.vertices.size
+    root = np.arange(n)
+    factor = np.tile(np.eye(r.dim, dtype=complex), (n, 1, 1))
+    seen = np.zeros(n, dtype=bool)
+    for start in sorted(adj):
+        if seen[start]:
             continue
         # BFS over a new component from its smallest node, accumulating
         # factors: every smaller node already belongs to a finished component
-        factor[root] = eye
-        root_of[root] = root
-        queue = [root]
+        seen[start] = True
+        queue = [start]
         while queue:
             cur = queue.pop(0)
             for nb, k, inverted in adj[cur]:
                 step = chi_inv[k] if inverted else chi[k]
-                if nb not in root_of:
-                    root_of[nb] = root
+                if not seen[nb]:
+                    seen[nb] = True
+                    root[nb] = start
                     factor[nb] = step @ factor[cur]
                     queue.append(nb)
                 else:
@@ -140,47 +141,34 @@ def _identifications(mesh: OctagonMesh, r: Representation):
                         raise ConstraintCycleInconsistent(
                             "cycle deviation %.3e at node %d" % (dev, nb)
                         )
-    return factor, root_of
+    return root, factor
+
+
+def _constraint(root: np.ndarray, X: np.ndarray) -> sp.csr_matrix:
+    """The map u[node] = X[node] @ u[root[node]] from free to nodal dofs,
+    free nodes numbered in index order, zeros of X left out."""
+    n, d, _ = X.shape
+    free = root == np.arange(n)
+    first = (np.cumsum(free) - 1)[root] * d  # first column of node's root
+    i, a, b = np.nonzero(X)
+    return sp.csr_matrix(
+        (X[i, a, b], (i * d + a, first[i] + b)),
+        shape=(n * d, np.count_nonzero(free) * d),
+    )
 
 
 def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
     K, M = _scalar_forms(mesh)
-    factor, root_of = _identifications(mesh, r)
-
-    n = mesh.vertices.size
+    root, factor = _identifications(mesh, r)
     d = r.dim
-    free_nodes = [i for i in range(n) if root_of.get(i, i) == i]
-    free_index = {node: p for p, node in enumerate(free_nodes)}
-    n_free = len(free_nodes)
 
-    defect = unitarity_defect(r)
-    hermitian = defect <= _UNITARY_EPS
+    hermitian = unitarity_defect(r) <= _UNITARY_EPS
 
-    def _constraint(blocks):
-        rows, cols, vals = [], [], []
-        for node in range(n):
-            root = root_of.get(node, node)
-            p = free_index[root]
-            X = blocks.get(node)
-            B = np.eye(d, dtype=complex) if X is None else X
-            for a in range(d):
-                for b in range(d):
-                    if B[a, b] != 0:
-                        rows.append(node * d + a)
-                        cols.append(p * d + b)
-                        vals.append(B[a, b])
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n * d, n_free * d), dtype=complex
-        )
-
-    C = _constraint(factor)
+    C = _constraint(root, factor)
     if hermitian:
         D = C
-    else:
-        dual = {
-            node: np.linalg.inv(X.conj().T) for node, X in factor.items()
-        }
-        D = _constraint(dual)
+    else:  # the test constraints carry the inverse-adjoint factors
+        D = _constraint(root, np.linalg.inv(factor.conj().transpose(0, 2, 1)))
 
     eye = sp.identity(d, format="csr")
     Khat = (D.conj().T @ sp.kron(K, eye, format="csr") @ C).tocsr()
@@ -198,7 +186,7 @@ def assemble(mesh: OctagonMesh, r: Representation) -> AssembledSystem:
         K=Khat,
         M=Mhat,
         d=d,
-        N_free=n_free * d,
+        N_free=C.shape[1],
         is_hermitian=hermitian,
         mesh_h=mesh.mesh_h,
     )

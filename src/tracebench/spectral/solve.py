@@ -44,6 +44,9 @@ from .assemble import AssembledSystem
 _CLUSTER_BASE = 1e-6
 _DENSE_CUTOFF = 8000
 _POTRF = "potrf (M's leading minor of order info is not positive definite)"
+# a solve returns at most N_free // TRUST_DIVISOR eigenvalues: the upper
+# discrete spectrum of a P1 discretization is not trustworthy
+TRUST_DIVISOR = 4
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,10 @@ def _cluster(vals: np.ndarray, res: np.ndarray):
 def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
     if count < 1:
         raise ValueError("count must be positive")
-    if count > sys.N_free // 4:
+    limit = sys.N_free // TRUST_DIVISOR
+    if count > limit:
         raise ValueError(
-            "count %d exceeds trust region N_free/4 = %d"
-            % (count, sys.N_free // 4)
+            "count %d exceeds trust region N_free/4 = %d" % (count, limit)
         )
 
     if sys.N_free <= _DENSE_CUTOFF:

@@ -18,6 +18,7 @@ from ..analysis import TestFunction
 from ..errors import ConfigError
 from ..fuchsian import L_MAX_CAP
 from ..reps import Representation, character_rep, rep_from_json
+from ..spectral.solve import TRUST_DIVISOR
 
 _PRESETS = ("bolza",)
 _REP_KEYS = {"character": "values", "file": "path"}  # kind -> its one key
@@ -38,7 +39,7 @@ class ExperimentConfig:
     preset: str = "bolza"
     L_max: float = 6.0
     level: int = 4
-    count: int = 300
+    count: int = 250
     threshold: float = 0.05
     out_dir: str = "runs"
     rep_kind: str = "character"  # provenance label for the outputs
@@ -98,8 +99,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if not 0 <= cfg.level <= 7:
         raise ConfigError("level must lie in [0, 7], got %d" % cfg.level)
-    if cfg.count < 1:
-        raise ConfigError("count must be positive")
+    # the glued level-L mesh has 4^(L+1) - 2 free vertices, d dofs each
+    n_free = cfg.representation.dim * (4 ** (cfg.level + 1) - 2)
+    limit = n_free // TRUST_DIVISOR
+    if not 1 <= cfg.count <= limit:
+        raise ConfigError("count must lie in [1, N_free/4 = %d] at level %d, "
+                          "got %d" % (limit, cfg.level, cfg.count))
     if not 0.0 < cfg.threshold <= 1.0:
         raise ConfigError("threshold must lie in (0, 1]")
     if not cfg.test_functions:

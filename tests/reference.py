@@ -2,7 +2,10 @@
 
 They build checks out of the package's own pieces: the complex conjugate
 and similarity transforms of a representation, whose spectra and traces
-are known functions of the original's, the inverse cosine transform
+are known functions of the original's, the rotation of a character
+around the octagon, which must leave both sides of the identity
+unchanged, every eigenvalue of a pencil matched to its nearest partner
+in another, the inverse cosine transform
 that confirms the transform convention of `tracebench.analysis`, and
 plain forms that the package's batched, in-place or pruned ones must
 match bit for bit: a word product letter by letter, the copying dense
@@ -18,7 +21,7 @@ from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
 from tracebench.fuchsian import _add_rows, _round_keys
 from tracebench.hyperbolic import canonical_sign, displacement, mat_inv, renormalize
-from tracebench.reps import Representation
+from tracebench.reps import Representation, _word_image, character_rep
 
 _COND_CEIL = 1e12
 
@@ -36,6 +39,51 @@ def similar_rep(r: Representation, P) -> Representation:
         raise SingularImage("similarity transform condition %.3e too large" % cond)
     Pinv = np.linalg.inv(P)
     return Representation(np.stack([P @ m @ Pinv for m in r.images]))
+
+
+def pairing_values(g, r: Representation) -> list:
+    """A character's values c_k = chi(g_k) on the side pairings g_0..g_3."""
+    return [complex(_word_image(r, w)[0, 0]) for w in g.pairing_words[:4]]
+
+
+def character_of_pairings(c) -> Representation:
+    """The character with pairing values c_0..c_3.
+
+    The pairings of `bolza_preset` are g_0 = a1, g_1 = b1^-1 a2,
+    g_2 = b1^-1 a2 b2^-1 and g_3 = b1^-1 b2^-1, so a1 = c0,
+    b1 = c2/(c1 c3), a2 = c2/c3 and b2 = c1/c2.
+    """
+    c0, c1, c2, c3 = (complex(v) for v in c)
+    return character_rep((c0, c2 / (c1 * c3), c2 / c3, c1 / c2))
+
+
+def rotate_character(g, r: Representation) -> Representation:
+    """sigma.chi for the rotation sigma of the octagon by pi/4.
+
+    sigma sends each side pairing to the next, so (sigma.chi)(g_k) =
+    chi(g_{k-1}), with g_{-1} = g_3^-1 (g_{k+4} = g_k^-1): c_k -> c_{k-1}.
+    Eight steps return to chi.
+    """
+    c = pairing_values(g, r)
+    return character_of_pairings((1 / c[3], c[0], c[1], c[2]))
+
+
+def pencil_eigenvalues(sys) -> np.ndarray:
+    """Every eigenvalue of an assembled pencil, as those of dense M^-1 K."""
+    return np.linalg.eigvals(np.linalg.solve(sys.M.toarray(), sys.K.toarray()))
+
+
+def nearest_gap(a, b) -> float:
+    """Largest distance from an eigenvalue of either list to its nearest
+    partner in the other, relative to 1 + |eigenvalue|.
+
+    Sorted lists would misalign near-equal real parts; nearest partners
+    do not.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    dist = np.abs(a[:, None] - b[None, :])
+    return float(max(np.max(dist.min(axis=1) / (1 + np.abs(a))),
+                     np.max(dist.min(axis=0) / (1 + np.abs(b)))))
 
 
 def fourier_roundtrip(f: TestFunction) -> float:

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from reference import nearest_gap, pencil_eigenvalues
+
 from tracebench.errors import RelatorViolation
-from tracebench.reps import Representation, character_rep, from_generator_images
-from tracebench.spectral.assemble import assemble
+from tracebench.reps import (
+    Representation,
+    _word_image,
+    character_rep,
+    from_generator_images,
+)
+from tracebench.spectral.assemble import _constraint, _identifications, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 
 
@@ -107,3 +114,56 @@ def test_assembly_deterministic(group):
     b = assemble(mesh, r)
     assert np.array_equal(a.K.toarray(), b.K.toarray())
     assert np.array_equal(a.M.toarray(), b.M.toarray())
+
+
+@pytest.mark.parametrize("which", ["character", "holonomy"])
+def test_slave_carries_inverse_pairing_image(group, which):
+    # the gluing convention: a slave node of side k carries chi(g_k)^-1
+    # times its master's value, on every side, tree and cycle edges alike;
+    # with chi(g_0) = a1 = 2 the slaves of side 0 get half their masters'
+    if which == "character":
+        r = character_rep((2.0, 3.0, 1.5j, 0.7 * np.exp(0.4j)))
+    else:
+        r = from_generator_images(group.generators)
+    mesh = build_octagon_mesh(2, group)
+    _, factor = _identifications(mesh, r)
+    for k, master, slave in mesh.boundary_pairing:
+        chi_inv = np.linalg.inv(_word_image(r, group.pairing_words[k]))
+        want = chi_inv @ factor[master]
+        assert np.abs(factor[slave] - want).max() <= 1e-12 * np.abs(want).max()
+    if which == "character":
+        _, master, slave = mesh.boundary_pairing[0]
+        assert np.allclose(factor[slave] / factor[master], 0.5)
+
+
+def test_inverse_character_has_the_same_spectrum(group):
+    # chi and chi^-1 glue transposed problems, so the trace identity cannot
+    # tell the gluing convention from its inverse (ROADMAP item 7)
+    vals = (1.1 * np.exp(0.4j), 1.2, 0.8 * np.exp(-0.3j), 0.9)
+    mesh = build_octagon_mesh(3, group)
+    spectra = [pencil_eigenvalues(assemble(mesh, character_rep(v)))
+               for v in (vals, [1 / v for v in vals])]
+    assert nearest_gap(*spectra) <= 1e-11
+
+
+@pytest.mark.parametrize("which", ["unitary", "holonomy"])
+def test_constraint_maps_free_to_nodal_values(group, which, rng):
+    # C x reproduces u[node] = X[node] @ u[root[node]] on every node, for
+    # the trial factors and the inverse-adjoint test factors alike
+    if which == "unitary":
+        r = character_rep((np.exp(1j * np.pi / 3), 1, 1, 1))
+    else:
+        r = from_generator_images(group.generators)
+    mesh = build_octagon_mesh(3, group)
+    root, factor = _identifications(mesh, r)
+    n, d = root.size, r.dim
+    free = np.flatnonzero(root == np.arange(n))
+    for X in (factor, np.linalg.inv(factor.conj().transpose(0, 2, 1))):
+        C = _constraint(root, X)
+        assert C.shape == (n * d, free.size * d)
+        x = rng.standard_normal((free.size, d, 2)) @ np.array([1, 1j])
+        u = np.zeros((n, d), dtype=complex)
+        u[free] = x
+        want = np.einsum("nij,nj->ni", X, u[root])
+        got = (C @ x.ravel()).reshape(n, d)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()

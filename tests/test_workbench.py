@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 
 from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
+from tracebench.reps import character_rep, from_generator_images
+from tracebench.spectral import assemble, build_octagon_mesh, solve_spectrum
+from tracebench.spectral.solve import TRUST_DIVISOR
 from tracebench.workbench import io as wio
-from tracebench.workbench.config import ExperimentConfig, parse_config
+from tracebench.workbench.config import ExperimentConfig, parse_config, validate
 
 SAMPLE = """
 [run]
@@ -56,11 +60,31 @@ k = 2
         lambda s: s.replace("[run]", "[run]\nshift = 150"),
         lambda s: s.replace("[run]", "[run]\nbudget = 1000"),
         lambda s: s.replace("level = 4", "level = four"),
+        # past the solver's trust region: 1022 free dofs at level 4
+        lambda s: s.replace("count = 250", "count = 256"),
     ],
 )
 def test_config_validation(mangle):
     with pytest.raises(ConfigError):
         parse_config(mangle(SAMPLE.format(out="runs")))
+
+
+def test_trust_region_at_load_matches_the_solver(group):
+    # validate predicts N_free from level and d; the solver's own guard on
+    # the assembled system must agree at every level, for d = 1 and 2
+    reps = (character_rep((1, 1, 1, 1)), from_generator_images(group.generators))
+    for level in range(6):
+        mesh = build_octagon_mesh(level, group)
+        for r in reps:
+            sys = assemble(mesh, r)
+            limit = sys.N_free // TRUST_DIVISOR
+            cfg = ExperimentConfig(level=level, representation=r)
+            if limit >= 1:
+                validate(replace(cfg, count=limit))
+            with pytest.raises(ConfigError, match="N_free/4"):
+                validate(replace(cfg, count=limit + 1))
+            with pytest.raises(ValueError, match="trust region"):
+                solve_spectrum(sys, limit + 1)
 
 
 def test_short_window_advisory():
@@ -306,6 +330,19 @@ def test_cli_bad_config_exit_code(tmp_path):
     r = _run(["--config", conf, "enumerate"])
     assert r.returncode == 2
     assert "level" in r.stderr
+
+
+def test_cli_count_past_trust_region_fails_at_load(tmp_path):
+    # level 3 has 254 free dofs, so count 100 is past N_free/4 = 63: exit 2
+    # before enumeration writes lengths.csv, not from the solver after it
+    out = tmp_path / "out"
+    conf = tmp_path / "big.ini"
+    conf.write_text(SAMPLE.format(out=out).replace("level = 4", "level = 3")
+                    .replace("count = 250", "count = 100"))
+    r = _run(["--config", str(conf), "verify"])
+    assert r.returncode == 2
+    assert "count must lie in [1, N_free/4 = 63] at level 3, got 100" in r.stderr
+    assert not (out / "lengths.csv").exists()
 
 
 def test_cli_bad_representation_file_fails_at_load(tmp_path):
