@@ -11,3 +11,9 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+# A spectrum solve returns at most N_free // TRUST_DIVISOR eigenvalues: the
+# upper discrete spectrum of a P1 discretization is not trustworthy.  It is
+# defined here, not in `spectral.solve`, so that the config check loads no
+# scipy.
+TRUST_DIVISOR = 4

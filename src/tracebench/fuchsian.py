@@ -89,9 +89,14 @@ L_MAX_CAP = 7.25
 # its parent, which would add 35 pairs at L_max 7 and 48 at L_MAX_CAP.
 # Such duplicates cost only repeated work, because classes are keyed by
 # their canonical form.
-# The four integer keys of a matrix are deduped as one row, by the exact
-# bytes of the row (`_add_rows`).
+# The four integer keys of a matrix are deduped as one `_ROW`, the exact
+# bytes of the row, against one sorted array of the rows seen so far
+# (`_add_rows`): 32 bytes per element.
 _KEY_SCALE = 1e-6
+_ROW = np.dtype((np.void, 32))
+
+# Frontier rows whose eight children the ball search forms at once.
+_SLICE_ROWS = 1024
 
 # greedy axis-pull steps before enumeration gives up
 _PULL_STEPS = 400
@@ -240,18 +245,46 @@ def _round_keys(mats: np.ndarray) -> np.ndarray:
     return np.round(mats.reshape(-1, 4) / _KEY_SCALE).astype(np.int64)
 
 
-def _add_rows(seen: set, keys: np.ndarray) -> np.ndarray:
-    """Insert into `seen` the (4,) integer key rows of `keys` it lacks, as
-    the bytes of each row, so two rows are one element exactly when all
-    four keys are equal.  Returns the index of the first occurrence of each
-    inserted row, ascending."""
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 32))).ravel()
-    fresh = []
-    for i, row in enumerate(rows.tolist()):
-        if row not in seen:
-            seen.add(row)
-            fresh.append(i)
-    return np.array(fresh, dtype=np.int64)
+def _add_rows(seen: np.ndarray, keys: np.ndarray):
+    """The (4,) integer key rows of `keys` that the sorted `_ROW` array
+    `seen` lacks, compared as the bytes of each row, so two rows are one
+    element exactly when all four keys are equal.  Returns the index of the
+    first occurrence of each missing row, ascending, and `seen` with those
+    rows merged in, still sorted."""
+    rows = np.ascontiguousarray(keys).view(_ROW).ravel()
+    rows, first = np.unique(rows, return_index=True)
+    pos = np.searchsorted(seen, rows)
+    new = pos == seen.size
+    new[~new] = seen[pos[~new]] != rows[~new]
+    return np.sort(first[new]), np.insert(seen, pos[new], rows[new])
+
+
+def _near_children(f: np.ndarray, last: np.ndarray, pairings: np.ndarray,
+                   radius: float):
+    """The children gamma g_k of frontier rows `f` (n, 1, 4), with last
+    letters `last`, that lie within `radius`: (flat index 8 i + k,
+    matrices, displacements).  The child by the inverse of an element's
+    last letter is its parent and is not formed."""
+    p = pairings.reshape(1, 8, 4)
+    # entries of f[i] @ pairings[k] at flat index 8 i + k
+    a = (f[..., 0] * p[..., 0] + f[..., 1] * p[..., 2]).ravel()
+    b = (f[..., 0] * p[..., 1] + f[..., 1] * p[..., 3]).ravel()
+    c = (f[..., 2] * p[..., 0] + f[..., 3] * p[..., 2]).ravel()
+    d = (f[..., 2] * p[..., 1] + f[..., 3] * p[..., 3]).ravel()
+    # displacement <= r  <=>  |beta|^2 <= tanh(r/2)^2 |alpha|^2, which does
+    # not depend on the scale of the matrix, so the raw float64 product
+    # pre-filters the children; the 1e-6 margin covers rounding, and the
+    # survivors take the exact test after renormalization
+    beta2 = (a - d) ** 2 + (b + c) ** 2                # 4 |beta|^2
+    alpha2 = (a + d) ** 2 + (b - c) ** 2               # 4 |alpha|^2
+    inside = beta2 <= np.tanh((radius + 1e-6) / 2.0) ** 2 * alpha2
+    inside[(8 * np.arange(f.shape[0]) + (last + 4) % 8)[last >= 0]] = False
+    near = np.flatnonzero(inside)
+    child = np.stack([a[near], b[near], c[near], d[near]], axis=1).reshape(-1, 2, 2)
+    child = canonical_sign(renormalize(child))
+    cdisp = displacement(child)
+    ok = cdisp <= radius
+    return near[ok], child[ok], cdisp[ok]
 
 
 def _bfs_ball(pairings: np.ndarray, radius: float):
@@ -267,8 +300,10 @@ def _bfs_ball(pairings: np.ndarray, radius: float):
     disp(gamma g_k) = d(gamma^{-1} o, g_k o) < d(gamma^{-1} o, o) =
     disp(gamma).  Such neighbours descend from any element of the ball to
     the identity without leaving the ball, so each element is reached.
-    The child of gamma by the inverse of its last letter is gamma's parent
-    and is not formed.
+
+    Each frontier's children are formed _SLICE_ROWS frontier rows at a
+    time, and the key rows of a level's survivors are merged into `seen`
+    once, so memory follows the ball, not eight times its largest level.
     """
     projected = 1.5 * (np.cosh(radius) - 1.0) / 2.0 + 100.0
     if projected > _BUDGET:
@@ -281,38 +316,23 @@ def _bfs_ball(pairings: np.ndarray, radius: float):
     disp = [np.zeros(1)]
     parent = [np.array([-1], dtype=np.int64)]
     letter = [np.array([-1], dtype=np.int8)]
-    seen = set()
-    _add_rows(seen, _round_keys(identity))
+    _, seen = _add_rows(np.empty(0, _ROW), _round_keys(identity))
     total = 1
-    # displacement <= r  <=>  |beta|^2 <= tanh(r/2)^2 |alpha|^2, which does
-    # not depend on the scale of the matrix, so the raw float64 product
-    # pre-filters the children; the 1e-6 margin covers rounding, and the
-    # survivors take the exact test after renormalization
-    q2_max = np.tanh((radius + 1e-6) / 2.0) ** 2
-    p = pairings.reshape(1, 8, 4)
 
     while True:
         f = mats[-1].reshape(-1, 1, 4)             # the frontier, (n, 1, 4)
-        n = f.shape[0]
-        # entries of frontier[i] @ pairings[k] at flat index 8 i + k
-        a = (f[..., 0] * p[..., 0] + f[..., 1] * p[..., 2]).ravel()
-        b = (f[..., 0] * p[..., 1] + f[..., 1] * p[..., 3]).ravel()
-        c = (f[..., 2] * p[..., 0] + f[..., 3] * p[..., 2]).ravel()
-        d = (f[..., 2] * p[..., 1] + f[..., 3] * p[..., 3]).ravel()
-        beta2 = (a - d) ** 2 + (b + c) ** 2                # 4 |beta|^2
-        alpha2 = (a + d) ** 2 + (b - c) ** 2               # 4 |alpha|^2
-        inside = beta2 <= q2_max * alpha2
-        # the child by the inverse of an element's last letter is its parent
         last = letter[-1].astype(np.int64)
-        inside[(8 * np.arange(n) + (last + 4) % 8)[last >= 0]] = False
-        near = np.flatnonzero(inside)
-        child = np.stack([a[near], b[near], c[near], d[near]], axis=1).reshape(-1, 2, 2)
-        child = canonical_sign(renormalize(child))
-        cdisp = displacement(child)
-        ok = cdisp <= radius
-        near, child, cdisp = near[ok], child[ok], cdisp[ok]
+        n = f.shape[0]
+        near, child, cdisp = [], [], []
+        for lo in range(0, n, _SLICE_ROWS):
+            k, c, cd = _near_children(f[lo:lo + _SLICE_ROWS], last[lo:lo + _SLICE_ROWS],
+                                      pairings, radius)
+            near.append(k + 8 * lo)
+            child.append(c)
+            cdisp.append(cd)
+        near, child, cdisp = (np.concatenate(x) for x in (near, child, cdisp))
 
-        fresh = _add_rows(seen, _round_keys(child))
+        fresh, seen = _add_rows(seen, _round_keys(child))
         if fresh.size == 0:
             break
         mats.append(child[fresh])
@@ -323,12 +343,11 @@ def _bfs_ball(pairings: np.ndarray, radius: float):
         if total > _BUDGET:
             raise CutoffTooLarge("enumeration exceeded budget %d elements" % _BUDGET)
 
-    return (
-        np.concatenate(mats),
-        np.concatenate(disp),
-        np.concatenate(parent),
-        np.concatenate(letter),
-    )
+    del seen
+    mats = np.concatenate(mats)
+    disp = np.concatenate(disp)
+    parent = np.concatenate(parent)
+    return mats, disp, parent, np.concatenate(letter)
 
 
 def _conjugate(a: np.ndarray, m: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
@@ -412,10 +431,10 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
 _FILTER_SLACK = 0.02
 
 # Forms per filter pass.  A pass holds a few (chunk, len(delta)) arrays:
-# at L_max 7 (2,217 conjugators) each is 2.3 MB of complex.  One pass over
+# at L_max 7 (2,217 conjugators) each is 0.57 MB of complex.  One pass over
 # all 584 forms raised the peak memory of that enumeration by 32 MB; 16 to
-# 128 forms per pass take the same time.
-_SEARCH_CHUNK = 64
+# 128 forms per pass take the same time, so the smallest is used.
+_SEARCH_CHUNK = 16
 
 
 def _axis_sinh(forms: np.ndarray, delta_inv: np.ndarray):
@@ -501,7 +520,7 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
     pulled, pull_words = _pull_axes(mats[cand_idx], g.pairings)
 
     # collapse identical pulled forms before the canonical search
-    reps = _add_rows(set(), _round_keys(pulled))
+    reps, _ = _add_rows(np.empty(0, _ROW), _round_keys(pulled))
 
     # the conjugators: the ball holds them, since this radius is below the
     # ball's for every L_max >= 0.4, and below the systole (3.06) there are

@@ -30,8 +30,9 @@ def renormalize(m: np.ndarray) -> np.ndarray:
     for entries of size ~1e4 the ad - bc cancellation would otherwise
     contaminate the normalized entries at the 1e-8 level, enough to split
     one group element across two of the 1e-6 rounding cells whose integer
-    rows ball enumeration dedupes on (`fuchsian._add_rows`).  Raises if the
-    determinant is not positive (we only deal with PSL(2,R)).
+    rows ball enumeration dedupes on (a sorted array of the rows' bytes,
+    `fuchsian._add_rows`).  Raises if the determinant is not positive (we
+    only deal with PSL(2,R)).
     """
     m = np.asarray(m, dtype=float)
     flat = m.reshape(-1, 4)

@@ -38,15 +38,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from .. import TRUST_DIVISOR
 from ..errors import ShiftTooCloseToEigenvalue, SolverNotConverged
 from .assemble import AssembledSystem
 
 _CLUSTER_BASE = 1e-6
 _DENSE_CUTOFF = 8000
 _POTRF = "potrf (M's leading minor of order info is not positive definite)"
-# a solve returns at most N_free // TRUST_DIVISOR eigenvalues: the upper
-# discrete spectrum of a P1 discretization is not trustworthy
-TRUST_DIVISOR = 4
 
 
 @dataclass(frozen=True)

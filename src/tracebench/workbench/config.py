@@ -14,11 +14,11 @@ import json
 import os
 from dataclasses import dataclass
 
+from .. import TRUST_DIVISOR
 from ..analysis import TestFunction
 from ..errors import ConfigError
 from ..fuchsian import L_MAX_CAP
 from ..reps import Representation, character_rep, rep_from_json
-from ..spectral.solve import TRUST_DIVISOR
 
 _PRESETS = ("bolza",)
 _REP_KEYS = {"character": "values", "file": "path"}  # kind -> its one key

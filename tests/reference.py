@@ -19,7 +19,6 @@ import scipy.linalg as sla
 
 from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
-from tracebench.fuchsian import _add_rows, _round_keys
 from tracebench.hyperbolic import canonical_sign, displacement, mat_inv, renormalize
 from tracebench.reps import Representation, _word_image, character_rep
 
@@ -161,14 +160,14 @@ def pencil_residuals_complex(K, M, vals, v) -> np.ndarray:
 
 def bfs_ball_every_child(pairings: np.ndarray, radius: float):
     """`tracebench.fuchsian._bfs_ball` without its skip of the child that
-    steps back to the parent: every child of the frontier is formed, and
-    kept when its key row is new.  Same return values."""
+    steps back to the parent: every child of the frontier is formed at
+    once, and kept when the bytes of its rounded key row are not yet in a
+    set.  Same return values."""
     mats = [np.eye(2)[None]]
     disp = [np.zeros(1)]
     parent = [np.array([-1], dtype=np.int64)]
     letter = [np.array([-1], dtype=np.int8)]
-    seen = set()
-    _add_rows(seen, _round_keys(mats[0]))
+    seen = {_key_rows(mats[0])[0].tobytes()}
     total = 1
     q2_max = np.tanh((radius + 1e-6) / 2.0) ** 2
     p = pairings.reshape(1, 8, 4)
@@ -187,9 +186,15 @@ def bfs_ball_every_child(pairings: np.ndarray, radius: float):
         cdisp = displacement(child)
         ok = cdisp <= radius
         near, child, cdisp = near[ok], child[ok], cdisp[ok]
-        fresh = _add_rows(seen, _round_keys(child))
-        if fresh.size == 0:
+        fresh = []
+        for i, row in enumerate(_key_rows(child)):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if not fresh:
             break
+        fresh = np.array(fresh)
         mats.append(child[fresh])
         disp.append(cdisp[fresh])
         parent.append(total - n + near[fresh] // 8)
@@ -201,3 +206,8 @@ def bfs_ball_every_child(pairings: np.ndarray, radius: float):
         np.concatenate(parent),
         np.concatenate(letter),
     )
+
+
+def _key_rows(mats: np.ndarray) -> np.ndarray:
+    """Entries of each matrix rounded to 1e-6 cells, one int64 row each."""
+    return np.round(mats.reshape(-1, 4) / 1e-6).astype(np.int64)

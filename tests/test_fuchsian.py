@@ -18,6 +18,7 @@ The expected values here are produced by two independent routes:
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,14 +369,33 @@ def _ball(group, L):
 
 
 @pytest.mark.parametrize("L", [4.0, 5.0])
-def test_ball_matches_reference(group, L):
-    # same elements, order and words, bit for bit
-    got = _ball(group, L)
+def test_ball_matches_reference(group, L, monkeypatch):
+    # same elements, order and words, bit for bit; also when the children
+    # are formed 1 or 7 frontier rows at a time, so that a slice boundary
+    # falls inside every level
     want = _reference_ball(group, _r_keep(group, L))
-    assert len(got) == len(want) == 4
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    for rows in (fuchsian._SLICE_ROWS, 1, 7):
+        monkeypatch.setattr(fuchsian, "_SLICE_ROWS", rows)
+        got = _ball(group, L)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+def test_ball_peak_memory(group):
+    # the search forms the children of 1,024 frontier rows at a time and
+    # dedupes them against one sorted array of 32-byte key rows: 134 B per
+    # element at the L_max 7 radius, the four returned arrays' 49 B
+    # included.  All of a level's children at once and a set of row bytes
+    # took 289 B
+    tracemalloc.start()
+    try:
+        size = _ball(group, 7.0)[0].shape[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * size
 
 
 @pytest.mark.parametrize("L", [6.0, fuchsian.L_MAX_CAP])
@@ -492,11 +512,15 @@ def test_axis_filter_gap_is_below_the_slack():
 
 def test_key_set_keeps_first_occurrences():
     rows = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4], [0, 0, 0, 1]])
-    seen = set()
-    assert fuchsian._add_rows(seen, rows).tolist() == [0, 1, 3]
-    assert fuchsian._add_rows(seen, rows[::-1]).tolist() == []
-    assert fuchsian._add_rows(seen, np.array([[0, 0, 0, 2], [5, 6, 7, 8]])).tolist() == [0]
-    assert len(seen) == 4
+    fresh, seen = fuchsian._add_rows(np.empty(0, fuchsian._ROW), rows)
+    assert fresh.tolist() == [0, 1, 3]
+    fresh, seen = fuchsian._add_rows(seen, rows[::-1])
+    assert fresh.tolist() == []
+    # a row that differs from a seen one in one key is new
+    fresh, seen = fuchsian._add_rows(seen, np.array([[0, 0, 0, 2], [5, 6, 7, 8]]))
+    assert fresh.tolist() == [0]
+    assert seen.size == 4
+    assert np.array_equal(seen, np.unique(seen))
 
 
 def test_axis_pull_cap_raises_typed_error(group, monkeypatch):

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tracebench import TRUST_DIVISOR
 from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
 from tracebench.reps import character_rep, from_generator_images
 from tracebench.spectral import assemble, build_octagon_mesh, solve_spectrum
-from tracebench.spectral.solve import TRUST_DIVISOR
 from tracebench.workbench import io as wio
 from tracebench.workbench.config import ExperimentConfig, parse_config, validate
 
@@ -152,6 +152,25 @@ def test_cli_enumerate_cache_byte_identity(cli_conf):
     assert first == second
     header = first.decode().splitlines()[0]
     assert header == "length,trace,power,primitive_length,word"
+
+
+def test_cli_enumerate_loads_no_scipy(cli_conf, tmp_path):
+    # the config's count check needs only the trust divisor, and enumeration
+    # needs no eigensolver, so neither imports scipy's solvers
+    conf, _ = cli_conf
+    short = tmp_path / "short.ini"
+    short.write_text(Path(conf).read_text().replace("L_max = 6.0", "L_max = 4.0"))
+    code = ("import sys\n"
+            "from tracebench.workbench import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    r = subprocess.run(
+        [sys.executable, "-c", code, "--config", str(short),
+         "--out", str(tmp_path / "out"), "enumerate"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_corrupt_cache_is_hard_error(cli_conf, tmp_path):
