@@ -11,10 +11,15 @@ SolverNotConverged, as an ARPACK one does.
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
 works in that memory (overwrite flags, so f2py copies nothing).  Hermitian:
 sygvd's steps run one by one, the Cholesky factor of M is dropped with M
-while syevd runs and rebuilt for the back-transform (potrf is
-deterministic), so n free dofs peak near 3 n^2 items.  Non-Hermitian: the
-LU factor and M go before the QR algorithm, M^-1 K when it returns, and
-only the kept real eigenvector columns become complex: near 2 n^2 items.
+while the eigensolve runs and rebuilt for the back-transform (potrf is
+deterministic).  The eigensolve is syevd's own three steps, but while
+stedc runs the Householder vectors sit packed in (n-1)(n-2)/2 items and
+stedc writes the tridiagonal eigenvectors into the reduced K's memory, so
+n free dofs peak near 2.5 n^2 items (stedc's n^2 workspace, those
+eigenvectors and the packed vectors) where syevd holds 3 n^2.
+Non-Hermitian: the LU factor and M go before the QR algorithm, M^-1 K when
+it returns, and only the kept real eigenvector columns become complex:
+near 2 n^2 items.
 
 Above 8000 dofs ARPACK runs in shift-invert mode at 0 from a fixed start
 vector.  A Hermitian pencil uses ARPACK's generalized mode, which needs a
@@ -32,11 +37,14 @@ the worst residual over their members.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 
 from .. import TRUST_DIVISOR
 from ..errors import ShiftTooCloseToEigenvalue, SolverNotConverged
@@ -70,23 +78,134 @@ def _check(info: int, step: str) -> None:
         raise SolverNotConverged("LAPACK %s failed: info %d" % (step, info))
 
 
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine `name` through scipy's Cython LAPACK, by ctypes.
+
+    scipy wraps sytrd and hetrd but not stedc, ormtr or unmtr.  Call the
+    result with bytes for a char *, a Python int for an int * and an array
+    for its data pointer.  Every integer argument must be a 32-bit `int *`
+    (LP64): a build with 64-bit LAPACK integers fails here, not in memory.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = _capsule_name(capsule)
+    ret, args = signature.decode()[:-1].split(" (")
+    args = args.split(", ")
+    for arg in args:
+        if arg not in ("char *", "int *") and not arg.endswith(
+                ("_d *", "_s *", "_complex *")):
+            raise ImportError("LAPACK %s takes %r, not the LP64 interface's "
+                              "int *" % (name, arg))
+    restype = {"void": None, "d": ctypes.c_double}[ret.rpartition("_")[2]]
+    fn = ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * len(args))(
+        _capsule_pointer(capsule, signature))
+
+    def call(*values):
+        return fn(*(ctypes.byref(ctypes.c_int(v)) if isinstance(v, int)
+                    else v.ctypes.data if isinstance(v, np.ndarray) else v
+                    for v in values))
+
+    return call
+
+
+def _reflector_spans(n: int):
+    """(j, slice) pairs: Householder vector j, rows j + 2.. of column j of
+    sytrd's lower output, in one packed array of (n-1)(n-2)/2 items."""
+    lo = 0
+    for j in range(n - 2):
+        yield j, slice(lo, lo + n - 2 - j)
+        lo += n - 2 - j
+
+
+def _evd(a: np.ndarray):
+    """Every eigenpair (w, v) of the Hermitian matrix in the lower triangle
+    of the n x n Fortran array `a`, bit for bit as syevd/heevd(lower=1)
+    computes it; `a` becomes v.
+
+    syevd's own steps: scale into [rmin, rmax], sytrd/hetrd, stedc('I')
+    into a second n x n array, ormtr/unmtr from the reflectors left in `a`.
+    Here the reflectors are packed while stedc runs, and stedc writes into
+    `a`: 2.5 n^2 items at peak, not 3 n^2.  Workspace lengths are syevd's
+    and heevd's wherever they set a block size.
+    """
+    # the pointers below assume a square float64 or complex128 Fortran array
+    a = np.asfortranarray(a, np.result_type(a.dtype, np.float64))
+    n = len(a)
+    if a.shape != (n, n):
+        raise ValueError("not a square matrix: shape %s" % (a.shape,))
+    herm = a.dtype.kind == "c"
+    trd, lan, mtr = (("hetrd", "lanhe", "unmtr") if herm
+                     else ("sytrd", "lansy", "ormtr"))
+    reduce, query = sla.get_lapack_funcs((trd, trd + "_lwork"), (a,))
+    p = reduce.typecode
+    info = np.zeros(1, np.intc)
+
+    # syevd scales a largest entry outside [rmin, rmax] to its bound;
+    # dlascl's factor is then sigma itself, on each real component
+    real = np.finfo(a.dtype)
+    rmin, rmax = np.sqrt(real.tiny / real.eps), np.sqrt(real.eps / real.tiny)
+    anrm = _lapack(p + lan)(b"M", b"L", n, a, n, None)
+    sigma = min(max(anrm, rmin), rmax) / anrm if n > 1 and anrm > 0 else 1.0
+    if sigma != 1.0:
+        a.T.view(real.dtype)[...] *= sigma
+
+    lwork, status = query(n, lower=1)  # n nb: the blocked reduction
+    _check(status, p + trd)
+    a, d, e, tau, status = reduce(a, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    _check(status, p + trd)
+    refl = np.empty((n - 1) * (n - 2) // 2, a.dtype)
+    for j, s in _reflector_spans(n):
+        refl[s] = a[j + 2:, j]
+
+    liwork = 3 + 5 * n
+    if herm:  # zheevd: n complex, 1 + 4n + 2n^2 real
+        work = (np.empty(n, a.dtype), n,
+                np.empty(1 + 4 * n + 2 * n * n, d.dtype), 1 + 4 * n + 2 * n * n)
+    else:
+        work = (np.empty(1 + 4 * n + n * n, a.dtype), 1 + 4 * n + n * n)
+    _lapack(p + "stedc")(b"I", n, d, e, a, n, *work,
+                         np.empty(liwork, np.intc), liwork, info)
+    _check(info[0], p + "stedc")
+    del work
+
+    q = np.zeros_like(a)
+    for j, s in _reflector_spans(n):
+        q[j + 2:, j] = refl[s]
+    del refl
+    # dormqr blocks by nb <= 64 with a 65 x 64 T block, out of dsyevd's
+    # 1 + 4n + n^2 items (nb shrinks below n = 80); zheevd passes n: unblocked
+    lwork = n if herm else min(1 + 4 * n + n * n, 64 * n + 65 * 64)
+    _lapack(p + mtr)(b"L", b"L", b"N", n, n, q, n, tau, a, n,
+                     np.empty(lwork, a.dtype), lwork, info)
+    _check(info[0], p + mtr)
+    if sigma != 1.0:
+        d *= 1 / sigma
+    return d, a
+
+
 def _dense_eig(K, M, hermitian: bool, count: int):
     """The kept eigenpairs (`_keep`) of the pencil, by dense LAPACK."""
     Kd, Md = K.toarray(order="F"), M.toarray(order="F")
     if hermitian:
         # sygvd's four steps in place; the Cholesky factor L is dropped while
-        # syevd runs and rebuilt for trsm (potrf is deterministic: same bits)
+        # the eigensolve runs and rebuilt for trsm (potrf is deterministic:
+        # same bits)
         np.asarray_chkfinite(K.data), np.asarray_chkfinite(M.data)
         pfx = "he" if Kd.dtype.kind == "c" else "sy"
-        potrf, gst, evd = sla.get_lapack_funcs(
-            ("potrf", pfx + "gst", pfx + "evd"), (Kd,))
+        potrf, gst = sla.get_lapack_funcs(("potrf", pfx + "gst"), (Kd,))
         L, info = potrf(Md, lower=1, overwrite_a=1)
         _check(info, _POTRF)
         Kd, info = gst(Kd, L, lower=1, overwrite_a=1)
         _check(info, pfx + "gst")
         del L, Md
-        w, v, info = evd(Kd, lower=1, overwrite_a=1)
-        _check(info, pfx + "evd")
+        w, v = _evd(Kd)
         L, info = potrf(M.toarray(order="F"), lower=1, overwrite_a=1)
         _check(info, _POTRF)
         trsm = sla.get_blas_funcs("trsm", (v,))

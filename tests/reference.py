@@ -67,6 +67,17 @@ def rotate_character(g, r: Representation) -> Representation:
     return character_of_pairings((1 / c[3], c[0], c[1], c[2]))
 
 
+def reflect_character(g, r: Representation) -> Representation:
+    """rho.chi for the reflection rho: z -> -conj(z) of the octagon.
+
+    rho conjugates each side pairing g_k to g_{-k}, with g_{-k} = g_{4-k}^-1
+    (g_{k+4} = g_k^-1), so (rho.chi)(g_k) = chi(g_{-k}): (c0, c1, c2, c3)
+    -> (c0, 1/c3, 1/c2, 1/c1).  Two reflections return to chi.
+    """
+    c = pairing_values(g, r)
+    return character_of_pairings((c[0], 1 / c[3], 1 / c[2], 1 / c[1]))
+
+
 def pencil_eigenvalues(sys) -> np.ndarray:
     """Every eigenvalue of an assembled pencil, as those of dense M^-1 K."""
     return np.linalg.eigvals(np.linalg.solve(sys.M.toarray(), sys.K.toarray()))

@@ -1,4 +1,4 @@
-"""The octagon's rotation as an exact check on both sides.
+"""The octagon's rotation and reflection as exact checks on both sides.
 
 The rotation sigma by pi/4 maps the mesh onto itself and each side
 pairing onto the next, so it acts on twists: (sigma.chi)(g_k) =
@@ -7,7 +7,9 @@ equivalent, and sigma permutes the conjugacy classes without changing
 their lengths, so the spectrum and the geometric side are constant on
 every orbit, to rounding, whether or not chi is unitary.  The twist moves
 from one side pairing to the next, so an error in one pairing's gluing,
-one class family's traces or the pairing words breaks the equality.
+one class family's traces or the pairing words breaks the equality.  The
+reflection rho: z -> -conj(z) acts the same way, (rho.chi)(g_k) =
+chi(g_{-k}).
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from reference import (
     nearest_gap,
     pairing_values,
     pencil_eigenvalues,
+    reflect_character,
     rotate_character,
 )
 
@@ -88,3 +91,26 @@ def test_a_twist_outside_the_orbit_differs(group, classes_L7, mesh3):
           % (spec_gap, geo_gap))
     assert spec_gap > 1e-3
     assert geo_gap > 1e-3
+
+
+@pytest.mark.parametrize(
+    "chi", [np.exp(0.3), np.exp(1j * np.pi / 3), 1.1 * np.exp(0.4j)],
+    ids=["e03", "unitary", "mixed"],
+)
+def test_both_sides_invariant_under_the_reflection(group, classes_L7, mesh3,
+                                                   chi):
+    # the twist sits on b1: a twist on a1 alone has pairing values
+    # (z, 1, 1, 1), which the reflection fixes, so it would test nothing.
+    # On b1 the values are (1, 1/z, 1/z, 1/z) and rho.chi is chi^-1
+    r = character_rep((1, chi, 1, 1))
+    ref = reflect_character(group, r)
+    assert not np.allclose(ref.images, r.images)
+    spec, spec_ref = _spectrum(mesh3, r), _spectrum(mesh3, ref)
+    assert nearest_gap(spec, spec_ref) <= 1e-11
+    geo, geo_ref = (_geometric(group, classes_L7, x) for x in (r, ref))
+    assert np.max(np.abs(geo_ref - geo) / np.abs(geo)) <= 1e-12
+    back = reflect_character(group, ref)
+    assert np.allclose(back.images, r.images, rtol=1e-14, atol=0)
+    # the same twist on a2 is not a reflection of it: the check can fail
+    off = _spectrum(mesh3, character_rep((1, 1, chi, 1)))
+    assert nearest_gap(spec_ref, off) > 1e-3
