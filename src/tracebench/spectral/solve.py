@@ -16,7 +16,11 @@ deterministic).  The eigensolve is syevd's own three steps, but while
 stedc runs the Householder vectors sit packed in (n-1)(n-2)/2 items and
 stedc writes the tridiagonal eigenvectors into the reduced K's memory, so
 n free dofs peak near 2.5 n^2 items (stedc's n^2 workspace, those
-eigenvectors and the packed vectors) where syevd holds 3 n^2.
+eigenvectors and the packed vectors) where syevd holds 3 n^2.  The kept
+set is chosen from stedc's eigenvalues, and ormtr/unmtr and the trsm run
+on only the leading W = min(n, max(256, 16 ceil((width + 8) / 16)))
+columns, width being one past the last kept column: the kept columns come
+out bit for bit as at full width (measured, see `_evd`).
 Non-Hermitian: the LU factor and M go before the QR algorithm, M^-1 K when
 it returns, and only the kept real eigenvector columns become complex:
 near 2 n^2 items.
@@ -124,16 +128,34 @@ def _reflector_spans(n: int):
         lo += n - 2 - j
 
 
-def _evd(a: np.ndarray):
-    """Every eigenpair (w, v) of the Hermitian matrix in the lower triangle
-    of the n x n Fortran array `a`, bit for bit as syevd/heevd(lower=1)
-    computes it; `a` becomes v.
+def _prefix(n: int, keep: np.ndarray) -> int:
+    """How many leading columns of stedc's output to back-transform so that
+    the columns in `keep` come out as at full width: keep's span rounded
+    up past a column tile of 16, at least 256, at most n."""
+    return min(n, max(256, 16 * -(-(int(keep.max()) + 9) // 16)))
+
+
+def _evd(a: np.ndarray, count: int | None = None):
+    """Every eigenvalue w of the Hermitian matrix in the lower triangle of
+    the n x n Fortran array `a`, and its eigenvectors v, bit for bit as
+    syevd/heevd(lower=1) computes them; `a` becomes v.
 
     syevd's own steps: scale into [rmin, rmax], sytrd/hetrd, stedc('I')
     into a second n x n array, ormtr/unmtr from the reflectors left in `a`.
     Here the reflectors are packed while stedc runs, and stedc writes into
     `a`: 2.5 n^2 items at peak, not 3 n^2.  Workspace lengths are syevd's
     and heevd's wherever they set a block size.
+
+    With `count`, only the leading W = `_prefix(n, keep)` columns are
+    back-transformed, keep being the `_keep` set of w, and v is that n x W
+    view of `a`.  The rule is measured on OpenBLAS 0.3.31 (AVX-512), not
+    derived: a bare prefix changes the bits of its last column tile, and
+    one narrower than about 150 columns changes every column (kernels are
+    picked by size).  With the padding and the 256 floor, the kept
+    columns, after this back-transform and a trsm on the same prefix,
+    equal full-width ones at n = 254 and 1022 for every count up to n/4
+    and at sampled counts for n = 508, 762, 2044, 3066 and 4094;
+    `tests/test_solve.py` keeps the sweep.
     """
     # the pointers below assume a square float64 or complex128 Fortran array
     a = np.asfortranarray(a, np.result_type(a.dtype, np.float64))
@@ -175,19 +197,24 @@ def _evd(a: np.ndarray):
     _check(info[0], p + "stedc")
     del work
 
+    if sigma != 1.0:
+        d *= 1 / sigma
+    cols = n if count is None else _prefix(n, _keep(d, count))
+
     q = np.zeros_like(a)
     for j, s in _reflector_spans(n):
         q[j + 2:, j] = refl[s]
     del refl
     # dormqr blocks by nb <= 64 with a 65 x 64 T block, out of dsyevd's
-    # 1 + 4n + n^2 items (nb shrinks below n = 80); zheevd passes n: unblocked
-    lwork = n if herm else min(1 + 4 * n + n * n, 64 * n + 65 * 64)
-    _lapack(p + mtr)(b"L", b"L", b"N", n, n, q, n, tau, a, n,
+    # 1 + 4n + n^2 items (nb shrinks below n = 80, where cols is n).  A
+    # workspace short of nb sets nb = (lwork - 65 * 64) / cols, so dsyevd's
+    # lwork keeps nb on fewer columns, and zheevd's lwork = n becomes cols:
+    # unblocked at any n, as zheevd runs it
+    lwork = cols if herm else min(1 + 4 * n + n * n, 64 * n + 65 * 64)
+    _lapack(p + mtr)(b"L", b"L", b"N", n, cols, q, n, tau, a, n,
                      np.empty(lwork, a.dtype), lwork, info)
     _check(info[0], p + mtr)
-    if sigma != 1.0:
-        d *= 1 / sigma
-    return d, a
+    return d, a[:, :cols]
 
 
 def _dense_eig(K, M, hermitian: bool, count: int):
@@ -205,7 +232,7 @@ def _dense_eig(K, M, hermitian: bool, count: int):
         Kd, info = gst(Kd, L, lower=1, overwrite_a=1)
         _check(info, pfx + "gst")
         del L, Md
-        w, v = _evd(Kd)
+        w, v = _evd(Kd, count)  # only the columns that hold the kept ones
         L, info = potrf(M.toarray(order="F"), lower=1, overwrite_a=1)
         _check(info, _POTRF)
         trsm = sla.get_blas_funcs("trsm", (v,))

@@ -114,3 +114,24 @@ def test_both_sides_invariant_under_the_reflection(group, classes_L7, mesh3,
     # the same twist on a2 is not a reflection of it: the check can fail
     off = _spectrum(mesh3, character_rep((1, 1, chi, 1)))
     assert nearest_gap(spec_ref, off) > 1e-3
+
+
+def test_a_reflection_that_is_not_the_inverse(group, classes_L7, mesh3):
+    # a twist on two pairings: the reflection reverses their order, so
+    # (1, e^0.3, e^0.2i, 1) goes to (1, 1, e^-0.2i, e^-0.3), while chi^-1
+    # has (1, e^-0.3, e^-0.2i, 1)
+    c = (1, np.exp(0.3), np.exp(0.2j), 1)
+    r = character_of_pairings(c)
+    ref = reflect_character(group, r)
+    values = pairing_values(group, ref)
+    assert np.allclose(values, (1, 1, np.exp(-0.2j), np.exp(-0.3)),
+                       rtol=1e-14, atol=0)
+    assert not np.allclose(values, np.reciprocal(c))
+    spec = _spectrum(mesh3, r)
+    assert nearest_gap(spec, _spectrum(mesh3, ref)) <= 1e-11
+    geo, geo_ref = (_geometric(group, classes_L7, x) for x in (r, ref))
+    assert np.max(np.abs(geo_ref - geo) / np.abs(geo)) <= 1e-12
+    # the same two values one pairing apart: no symmetry of the octagon
+    # makes them adjacent, so the check can fail
+    out = character_of_pairings((1, np.exp(0.3), 1, np.exp(0.2j)))
+    assert nearest_gap(spec, _spectrum(mesh3, out)) > 1e-3

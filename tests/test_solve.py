@@ -229,7 +229,8 @@ _SPLIT_COUNTS = (11, 13, 15, 24, 36, 40, 47, 49, 62)
 
 
 # counts at level 4 where a back-transform of the kept columns only, in
-# place of sygvd's full-width trsm, changes the bits of the last column tile
+# place of sygvd's full-width trsm, changes the bits of the last column
+# tile; the padded prefix of `solve._prefix` keeps those tiles
 _TILE_COUNTS = (250, 255)
 
 
@@ -275,6 +276,92 @@ def test_evd_steps_match_syevd_and_heevd(n, scale, dtype, rng):
     w, v = solve._evd(a.copy(order="F"))
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+def _hermitian(rng, n, dtype, shift=0.0):
+    x = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is np.complex128:
+        x += 1j * rng.standard_normal((n, n))
+    return np.asfortranarray(x + x.conj().T + shift * np.eye(n))
+
+
+def _narrow_mismatches(a, counts, rng):
+    """Counts whose kept eigenpairs, from `_evd(a, count)` and then a trsm
+    on its prefix of columns, differ in any bit from those of the
+    full-width `_evd(a)` and trsm; one narrowed solve per prefix width."""
+    n = len(a)
+    # any triangular factor: only sizes decide which kernels OpenBLAS runs
+    L = np.asfortranarray(np.tril(rng.standard_normal((n, n))) + n * np.eye(n))
+    trsm = sla.get_blas_funcs("trsm", (a,))
+    trans = 2 if a.dtype.kind == "c" else 1
+    w_full, v_full = solve._evd(a.copy(order="F"))
+    v_full = trsm(1.0, L, v_full, lower=1, trans_a=trans)
+    widest = {}  # prefix width -> the largest count that needs it
+    for c in counts:
+        width = solve._prefix(n, solve._keep(w_full, c))
+        widest[width] = max(widest.get(width, 0), c)
+    bad = []
+    for width, c in sorted(widest.items()):
+        w, v = solve._evd(a.copy(order="F"), c)
+        assert v.shape == (n, width)
+        v = trsm(1.0, L, v, lower=1, trans_a=trans, overwrite_b=1)
+        keep = solve._keep(w, c)  # every smaller count's kept set is in it
+        if not (np.array_equal(w, w_full)
+                and np.array_equal(v[:, keep], v_full[:, keep])):
+            bad.append(c)
+    return bad
+
+
+# n = 254 and 1022 are the level-3 and level-4 pencils of a character: every
+# count up to n/4; 508, 762, 2044 and 3066 those of d = 2 and d = 3.  Not
+# the complex n = 3066: about a minute, most of it the full-width unmtr
+# (unblocked, as in zheevd) of the reference
+_SWEEP = [(n, range(1, n // 4 + 1), dt, False) for n in (254, 1022)
+          for dt in (np.float64, np.complex128)] + [
+    (n, counts, dt, n > 1000) for n, counts in
+    [(508, (1, 64, 127)), (762, (5, 72, 136, 190)), (2044, (5, 140, 511))]
+    for dt in (np.float64, np.complex128)] + [
+    (3066, (5, 150, 766), np.float64, True)]
+
+
+@pytest.mark.parametrize(
+    "n,counts,dtype",
+    [pytest.param(n, c, dt, id="%d-%s" % (n, dt.__name__),
+                  marks=[pytest.mark.slow] * slow) for n, c, dt, slow in _SWEEP])
+def test_prefix_back_transform_keeps_the_kept_bits(n, counts, dtype, rng):
+    # positive definite, as the flat Laplacian: the kept columns lead
+    a = _hermitian(rng, n, dtype, shift=4.0 * n)
+    assert _narrow_mismatches(a, counts, rng) == []
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prefix_covers_kept_columns_inside_the_spectrum(dtype, rng):
+    # indefinite: the eigenvalues of least modulus sit mid-spectrum, so the
+    # prefix reaches far past `count` columns
+    a = _hermitian(rng, 762, dtype)
+    w, _ = solve._evd(a.copy(order="F"), 100)
+    assert solve._keep(w, 100).min() > 250
+    assert _narrow_mismatches(a, (1, 100, 190), rng) == []
+
+
+@pytest.mark.parametrize("n", [200, 520])
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prefix_from_unscaled_eigenvalues(n, scale, dtype, rng):
+    # syevd's scaling branch: the kept set and its prefix come from the
+    # eigenvalues scaled back, which syevd/heevd return.  n = 200 is the
+    # size of the scaled matrices above, where the prefix is every column;
+    # at n = 520 it is not
+    a = _hermitian(rng, n, dtype) * scale
+    evd = sla.get_lapack_funcs("heevd" if dtype is np.complex128 else "syevd", (a,))
+    w_ref, v_ref, info = evd(a, lower=1)
+    assert info == 0
+    count = n // 4
+    keep = solve._keep(w_ref, count)
+    w, v = solve._evd(a.copy(order="F"), count)
+    assert v.shape == (n, solve._prefix(n, keep))
+    assert v.shape[1] < n or n <= 256
+    assert np.array_equal(w, w_ref) and np.array_equal(v[:, keep], v_ref[:, keep])
 
 
 # integer arguments of each routine reached through the Cython capsules
