@@ -45,10 +45,6 @@ class ArgumentOutOfStrip(ValidationError):
     settle."""
 
 
-class IncompleteLengthSpectrum(ValidationError):
-    """Class list does not reach the test function's support radius."""
-
-
 class ConstraintCycleInconsistent(ValidationError):
     """Corner identification cycle does not close up under the representation."""
 
@@ -68,10 +64,6 @@ class MeshQualityFailure(TracebenchError):
 
 
 class SolverNotConverged(TracebenchError):
-    pass
-
-
-class ShiftTooCloseToEigenvalue(TracebenchError):
     pass
 
 

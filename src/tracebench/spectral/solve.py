@@ -25,18 +25,20 @@ Non-Hermitian: the LU factor and M go before the QR algorithm, M^-1 K when
 it returns, and only the kept real eigenvector columns become complex:
 near 2 n^2 items.
 
-Above 8000 dofs ARPACK runs in shift-invert mode at 0 from a fixed start
-vector.  A Hermitian pencil uses ARPACK's generalized mode, which needs a
-Hermitian M.  The Petrov-Galerkin M of a non-unitary twist is not
-Hermitian, so that pencil runs in standard mode on (K - sigma M)^-1 M,
-whose eigenvalue nu gives lam = sigma + 1/nu (Ericsson & Ruhe, Math.
-Comp. 35, 1980).
+Above 8000 dofs ARPACK runs once, in shift-invert mode at 0 from a fixed
+start vector.  A Hermitian pencil uses ARPACK's generalized mode, which
+needs a Hermitian M.  The Petrov-Galerkin M of a non-unitary twist is not
+Hermitian, so that pencil runs in standard mode on K^-1 M, whose
+eigenvalue nu gives lam = 1/nu (Ericsson & Ruhe, Math. Comp. 35, 1980).
+A singular factor of K, an eigenvalue on the shift, raises
+SolverNotConverged.
 
-The requested number of eigenvalues of least modulus is kept, sorted by
-(Re, Im), and only those are checked: each kept eigenvector is
-normalized to unit 2-norm, its pencil residual ||K x - lam M x||_2 must
-pass a relative gate, and the clusters of algebraic multiplicity carry
-the worst residual over their members.
+Both backends take (K, M, hermitian, count) and return the requested
+number of eigenvalues of least modulus, sorted by (Re, Im).  K and M are
+checked finite before either runs, and only the kept pairs are checked
+after: each kept eigenvector is normalized to unit 2-norm, its pencil
+residual ||K x - lam M x||_2 must pass a relative gate, and the clusters
+of algebraic multiplicity carry the worst residual over their members.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack
 
 from .. import TRUST_DIVISOR
-from ..errors import ShiftTooCloseToEigenvalue, SolverNotConverged
+from ..errors import SolverNotConverged
 from .assemble import AssembledSystem
 
 _CLUSTER_BASE = 1e-6
@@ -135,10 +137,11 @@ def _prefix(n: int, keep: np.ndarray) -> int:
     return min(n, max(256, 16 * -(-(int(keep.max()) + 9) // 16)))
 
 
-def _evd(a: np.ndarray, count: int | None = None):
+def _evd(a: np.ndarray, count: int):
     """Every eigenvalue w of the Hermitian matrix in the lower triangle of
-    the n x n Fortran array `a`, and its eigenvectors v, bit for bit as
-    syevd/heevd(lower=1) computes them; `a` becomes v.
+    the n x n Fortran array `a`, and the eigenvectors v that hold the
+    `count` kept ones, bit for bit as syevd/heevd(lower=1) computes them;
+    `a` becomes v.
 
     syevd's own steps: scale into [rmin, rmax], sytrd/hetrd, stedc('I')
     into a second n x n array, ormtr/unmtr from the reflectors left in `a`.
@@ -146,15 +149,15 @@ def _evd(a: np.ndarray, count: int | None = None):
     `a`: 2.5 n^2 items at peak, not 3 n^2.  Workspace lengths are syevd's
     and heevd's wherever they set a block size.
 
-    With `count`, only the leading W = `_prefix(n, keep)` columns are
-    back-transformed, keep being the `_keep` set of w, and v is that n x W
-    view of `a`.  The rule is measured on OpenBLAS 0.3.31 (AVX-512), not
-    derived: a bare prefix changes the bits of its last column tile, and
-    one narrower than about 150 columns changes every column (kernels are
-    picked by size).  With the padding and the 256 floor, the kept
-    columns, after this back-transform and a trsm on the same prefix,
-    equal full-width ones at n = 254 and 1022 for every count up to n/4
-    and at sampled counts for n = 508, 762, 2044, 3066 and 4094;
+    Only the leading W = `_prefix(n, keep)` columns are back-transformed,
+    keep being the `_keep` set of w, and v is that n x W view of `a` (all
+    n columns when count = n).  The rule is measured on OpenBLAS 0.3.31
+    (AVX-512), not derived: a bare prefix changes the bits of its last
+    column tile, and one narrower than about 150 columns changes every
+    column (kernels are picked by size).  With the padding and the 256
+    floor, the kept columns, after this back-transform and a trsm on the
+    same prefix, equal full-width ones at n = 254 and 1022 for every count
+    up to n/4 and at sampled counts for n = 508, 762, 2044, 3066 and 4094;
     `tests/test_solve.py` keeps the sweep.
     """
     # the pointers below assume a square float64 or complex128 Fortran array
@@ -199,7 +202,7 @@ def _evd(a: np.ndarray, count: int | None = None):
 
     if sigma != 1.0:
         d *= 1 / sigma
-    cols = n if count is None else _prefix(n, _keep(d, count))
+    cols = _prefix(n, _keep(d, count))
 
     q = np.zeros_like(a)
     for j, s in _reflector_spans(n):
@@ -272,33 +275,27 @@ def _dense_eig(K, M, hermitian: bool, count: int):
     return w[keep], v
 
 
-def _sparse_eig(K, M, count, hermitian: bool):
+def _sparse_eig(K, M, hermitian: bool, count: int):
+    """The kept eigenpairs (`_keep`) of the pencil, by one shift-invert
+    ARPACK call at 0."""
     n = K.shape[0]
     v0 = np.ones(n) / np.sqrt(n)  # fixed start vector for reproducibility
-    sigma = 0.0
-    last = None
-    for _ in range(2):
-        try:
-            if hermitian:
-                return spla.eigsh(K, k=count, M=M, sigma=sigma, v0=v0)
-            lu = spla.splu((K - sigma * M).tocsc())
-            op = spla.LinearOperator(
-                K.shape, matvec=lambda x: lu.solve(M @ x), dtype=K.dtype
-            )
+    try:
+        if hermitian:
+            w, v = spla.eigsh(K, k=count, M=M, sigma=0.0, v0=v0)
+        else:
+            lu = spla.splu(K.tocsc())
+            op = spla.LinearOperator(K.shape, lambda x: lu.solve(M @ x),
+                                     dtype=K.dtype)
             nu, v = spla.eigs(op, k=count, v0=v0)
-            return sigma + 1.0 / nu, v
-        except spla.ArpackError as exc:
-            # every ARPACK failure, no convergence included; a singular
-            # factor raises a plain RuntimeError, handled below
-            raise SolverNotConverged("ARPACK failed: %s" % exc) from exc
-        except RuntimeError as exc:
-            # shift-invert factorization hit a (near-)singular pivot;
-            # retry once with a nudged shift before giving up
-            last = exc
-            sigma = sigma + 1e-3 * (1.0 + abs(sigma))
-    raise ShiftTooCloseToEigenvalue(
-        "factorization of (K - shift M) failed twice: %s" % last
-    )
+            w = 1.0 / nu
+    except spla.ArpackError as exc:  # no convergence included
+        raise SolverNotConverged("ARPACK failed: %s" % exc) from exc
+    except RuntimeError as exc:  # SuperLU: K has an eigenvalue on the shift
+        raise SolverNotConverged("factorization of K - sigma M at shift 0 "
+                                 "failed: %s" % exc) from exc
+    keep = _keep(w, count)
+    return w[keep], v[:, keep]
 
 
 def _cluster(vals: np.ndarray, res: np.ndarray):
@@ -326,19 +323,16 @@ def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
             "count %d exceeds trust region N_free/4 = %d" % (count, limit)
         )
 
-    if sys.N_free <= _DENSE_CUTOFF:
-        vals, v = _dense_eig(sys.K, sys.M, sys.is_hermitian, count)
-    else:
-        w, v = _sparse_eig(sys.K, sys.M, count, sys.is_hermitian)
-        keep = _keep(w, count)
-        vals, v = w[keep], v[:, keep]
+    np.asarray_chkfinite(sys.K.data), np.asarray_chkfinite(sys.M.data)
+    eig = _dense_eig if sys.N_free <= _DENSE_CUTOFF else _sparse_eig
+    vals, v = eig(sys.K, sys.M, sys.is_hermitian, count)
     # pencil residuals with unit-norm eigenvectors, in the pairs' own field
     v = v * (1.0 / np.linalg.norm(v, axis=0, keepdims=True))
     res = np.linalg.norm(sys.K @ v - (sys.M @ v) * vals, axis=0)
     vals = vals.astype(complex, copy=False)
 
     scale = np.abs(sys.K.data).max()
-    bad = res > 1e-8 * (1.0 + np.abs(vals)) * scale
+    bad = ~(res <= 1e-8 * (1.0 + np.abs(vals)) * scale)  # NaN fails too
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SolverNotConverged(

@@ -81,9 +81,8 @@ def _lengths_cache_fields(cfg):
     }
 
 
-def _ensure_classes(cfg, g, refresh: bool, no_compute: bool = False):
+def _ensure_classes(cfg, g, refresh: bool):
     """Return (classes, csv_path), honoring the cache contract."""
-    from ..errors import IncompleteLengthSpectrum
     from ..fuchsian import enumerate_classes
     from . import io
 
@@ -94,11 +93,6 @@ def _ensure_classes(cfg, g, refresh: bool, no_compute: bool = False):
         if state == "fresh":
             _, rows = io.read_csv(path)
             return _classes_from_rows(g, rows), path
-    if no_compute:
-        raise IncompleteLengthSpectrum(
-            "no usable length-spectrum cache at %s and --no-compute given"
-            % path
-        )
     classes = enumerate_classes(g, cfg.L_max)
     io.write_csv(
         path,
@@ -147,7 +141,7 @@ def cmd_geomside(cfg, args) -> int:
 
     g = bolza_preset()
     r = cfg.representation
-    classes, _ = _ensure_classes(cfg, g, args.refresh, args.no_compute)
+    classes, _ = _ensure_classes(cfg, g, args.refresh)
     summary = {}
     for name, f in cfg.test_functions:
         rep = geometric_side(g, classes, r, f, L_max=cfg.L_max)
@@ -243,9 +237,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("enumerate", help="length spectrum to CSV")
     sub.add_parser("spectrum", help="eigenvalues to CSV")
-    geo = sub.add_parser("geomside", help="geometric side to CSV/JSON")
-    geo.add_argument("--no-compute", action="store_true",
-                     help="fail instead of enumerating when cache is missing")
+    sub.add_parser("geomside", help="geometric side to CSV/JSON")
     sub.add_parser("weyl", help="counting function vs prediction")
     sub.add_parser("verify", help="confront both sides, emit TraceReport")
 

@@ -1,15 +1,9 @@
-# Pin BLAS threading before numpy gets imported anywhere, so test runs are
-# reproducible regardless of the host's core count.
-import os
+# Pin BLAS to one thread before numpy gets imported anywhere, by the CLI's
+# own rule (it overrides the caller's setting), so test runs reproduce CLI
+# runs bit for bit.  The cli module imports no numpy at its top level.
+from tracebench.workbench.cli import _pin_threads
 
-for _v in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ.setdefault(_v, "1")
+_pin_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -1,5 +1,7 @@
 import ctypes
+import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from tracebench.errors import ShiftTooCloseToEigenvalue, SolverNotConverged
+from tracebench.errors import SolverNotConverged
 from tracebench.reps import character_rep, from_generator_images
 from tracebench.spectral import solve
 from tracebench.spectral.assemble import AssembledSystem, assemble
@@ -19,6 +21,9 @@ from tracebench.workbench.cli import main
 
 from reference import (conjugate_rep, dense_eig_copying, pencil_residuals_complex,
                        similar_rep)
+
+# scipy's ARPACK wrapper, whose eigsh factors K - sigma M with its own splu
+_ARPACK = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
 
 # one twist per dense branch: real Hermitian, real non-Hermitian (a
 # non-unitary character), complex Hermitian (a unitary one), complex
@@ -179,20 +184,29 @@ def test_real_pencil_factors_and_iterates_in_float64(group, monkeypatch):
     assert seen == {"splu": np.float64, "eigs": np.float64}
 
 
-def test_shift_on_eigenvalue_exhausts_retries(monkeypatch):
-    # diag pencil with eigenvalues 0 and 1e-3: the shift 0 and the nudged
-    # retry 1e-3 both make K - shift*M exactly singular
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_shift_on_eigenvalue_fails_after_one_factorization(hermitian, monkeypatch):
+    # diag pencil with eigenvalue 0: K - 0 M is exactly singular, and the
+    # shift-invert solve stops at its one factorization (eigsh factors K
+    # through the ARPACK module's own splu)
     n = 50
     diag = np.arange(2.0, n + 2.0)
     diag[0] = 0.0
-    diag[1] = 1e-3
-    K = sp.diags(diag).tocsr()
-    M = sp.identity(n, format="csr")
-    sys = AssembledSystem(K=K, M=M, d=1, N_free=n, is_hermitian=True,
-                          mesh_h=0.1)
+    sys = AssembledSystem(K=sp.diags(diag).tocsr(), M=sp.identity(n, format="csr"),
+                          d=1, N_free=n, is_hermitian=hermitian, mesh_h=0.1)
+    calls = []
+    splu = spla.splu
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
     monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
-    with pytest.raises(ShiftTooCloseToEigenvalue):
+    monkeypatch.setattr(spla, "splu", spy)
+    monkeypatch.setattr(_ARPACK, "splu", spy)
+    with pytest.raises(SolverNotConverged, match="at shift 0 failed: .*singular"):
         solve_spectrum(sys, 5)
+    assert calls == [(n, n)]
 
 
 def test_arnoldi_iteration_cap(sys3, monkeypatch):
@@ -208,8 +222,8 @@ def test_arnoldi_iteration_cap(sys3, monkeypatch):
 
 @pytest.mark.parametrize("routine", ["eigsh", "eigs"])
 def test_arpack_error_is_not_a_shift_failure(group, routine, monkeypatch):
-    # an ARPACK failure other than no convergence must not be retried with
-    # a nudged shift and then blamed on the shift
+    # an ARPACK failure other than no convergence is reported as ARPACK's,
+    # not blamed on the shift-invert factorization
     def failed(*args, **kwargs):
         raise spla.ArpackError(3, {3: "No shifts could be applied"})
 
@@ -273,7 +287,7 @@ def test_evd_steps_match_syevd_and_heevd(n, scale, dtype, rng):
     evd = sla.get_lapack_funcs("heevd" if dtype is np.complex128 else "syevd", (a,))
     w_ref, v_ref, info = evd(a, lower=1)
     assert info == 0
-    w, v = solve._evd(a.copy(order="F"))
+    w, v = solve._evd(a.copy(order="F"), n)
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
@@ -288,13 +302,13 @@ def _hermitian(rng, n, dtype, shift=0.0):
 def _narrow_mismatches(a, counts, rng):
     """Counts whose kept eigenpairs, from `_evd(a, count)` and then a trsm
     on its prefix of columns, differ in any bit from those of the
-    full-width `_evd(a)` and trsm; one narrowed solve per prefix width."""
+    full-width `_evd(a, n)` and trsm; one narrowed solve per prefix width."""
     n = len(a)
     # any triangular factor: only sizes decide which kernels OpenBLAS runs
     L = np.asfortranarray(np.tril(rng.standard_normal((n, n))) + n * np.eye(n))
     trsm = sla.get_blas_funcs("trsm", (a,))
     trans = 2 if a.dtype.kind == "c" else 1
-    w_full, v_full = solve._evd(a.copy(order="F"))
+    w_full, v_full = solve._evd(a.copy(order="F"), n)
     v_full = trsm(1.0, L, v_full, lower=1, trans_a=trans)
     widest = {}  # prefix width -> the largest count that needs it
     for c in counts:
@@ -523,3 +537,26 @@ def test_residuals_match_complex_arithmetic(group, twist, monkeypatch):
     solve_spectrum(sys, count)
     vals, v = solve._dense_eig(sys.K, sys.M, sys.is_hermitian, count)
     assert np.array_equal(seen["res"], pencil_residuals_complex(sys.K, sys.M, vals, v))
+
+
+def test_nan_eigenpair_fails_the_residual_gate(sys3, monkeypatch):
+    # a NaN residual compares False against any tolerance, so the gate must
+    # ask whether each residual passes, not whether it fails
+    n = sys3.N_free
+    monkeypatch.setattr(solve, "_dense_eig",
+                        lambda *args: (np.array([np.nan]), np.ones((n, 1))))
+    with pytest.raises(SolverNotConverged, match="residual nan"):
+        solve_spectrum(sys3, 1)
+
+
+@pytest.mark.parametrize("cutoff", [solve._DENSE_CUTOFF, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("twist", ["trivial", "e03"])
+def test_nan_pencil_is_rejected_before_either_backend(group, twist, cutoff,
+                                                      monkeypatch):
+    sys = assemble(build_octagon_mesh(2, group),
+                   character_rep((_TWISTS[twist], 1, 1, 1)))
+    K = sys.K.copy()
+    K.data[0] = np.nan
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", cutoff)
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        solve_spectrum(replace(sys, K=K), 10)

@@ -13,6 +13,7 @@ from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
 from tracebench.reps import character_rep, from_generator_images
 from tracebench.spectral import assemble, build_octagon_mesh, solve_spectrum
+from tracebench.workbench import cli
 from tracebench.workbench import io as wio
 from tracebench.workbench.config import ExperimentConfig, parse_config, validate
 
@@ -189,12 +190,20 @@ def test_cli_corrupt_cache_is_hard_error(cli_conf, tmp_path):
     assert r.returncode == 0
 
 
-def test_cli_geomside_no_compute(cli_conf, tmp_path):
-    conf, _ = cli_conf
-    out = str(tmp_path / "empty")
-    r = _run(["--config", conf, "--out", out, "geomside", "--no-compute"])
-    assert r.returncode == 2
-    assert "no usable length-spectrum cache" in r.stderr
+def test_suite_runs_blas_on_one_thread():
+    # conftest.py pins BLAS by the CLI's rule, whatever the caller set
+    assert {v: os.environ[v] for v in cli._BLAS_VARS} == dict.fromkeys(
+        cli._BLAS_VARS, "1")
+
+
+def test_suite_overrides_the_callers_blas_threads():
+    r = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "%s::test_suite_runs_blas_on_one_thread" % __file__],
+        capture_output=True, text=True, cwd=os.path.dirname(_SRC),
+        env=dict(os.environ, PYTHONPATH=_SRC, OPENBLAS_NUM_THREADS="2"),
+    )
+    assert r.returncode == 0, r.stdout
 
 
 def test_cli_empty_window_has_valid_header(cli_conf, tmp_path):
