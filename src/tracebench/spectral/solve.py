@@ -9,21 +9,23 @@ the symmetric-definite reduction instead.  A LAPACK failure raises
 SolverNotConverged, as an ARPACK one does.
 
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
-works in that memory (overwrite flags, so f2py copies nothing).  Hermitian:
-sygvd's steps run one by one, the Cholesky factor of M is dropped with M
-while the eigensolve runs and rebuilt for the back-transform (potrf is
-deterministic).  The eigensolve is syevd's own three steps, but while
-stedc runs the Householder vectors sit packed in (n-1)(n-2)/2 items and
-stedc writes the tridiagonal eigenvectors into the reduced K's memory, so
-n free dofs peak near 2.5 n^2 items (stedc's n^2 workspace, those
-eigenvectors and the packed vectors) where syevd holds 3 n^2.  The kept
-set is chosen from stedc's eigenvalues, and ormtr/unmtr and the trsm run
-on only the leading W = min(n, max(256, 16 ceil((width + 8) / 16)))
-columns, width being one past the last kept column: the kept columns come
-out bit for bit as at full width (measured, see `_evd`).
-Non-Hermitian: the LU factor and M go before the QR algorithm, M^-1 K when
-it returns, and only the kept real eigenvector columns become complex:
-near 2 n^2 items.
+works in that memory (overwrite flags, so f2py copies nothing).  Real
+Hermitian: sygvd's steps run one by one, the Cholesky factor of M is
+dropped with M while the eigensolve runs and rebuilt for the
+back-transform (potrf is deterministic).  The eigensolve is syevd's own
+three steps, but while stedc runs the Householder vectors sit packed in
+(n-1)(n-2)/2 items and stedc writes the tridiagonal eigenvectors into the
+reduced K's memory, so n free dofs peak near 2.5 n^2 items (stedc's n^2
+workspace, those eigenvectors and the packed vectors) where syevd holds
+3 n^2.  The kept set is chosen from stedc's eigenvalues, and ormtr and the
+trsm run on only the leading W = min(n, max(256, 16 ceil((width + 8) /
+16))) columns, width being one past the last kept column: the kept
+columns come out bit for bit as at full width (measured, see `_evd`).
+Complex Hermitian (a unitary twist that is not real): LAPACK's hegvx
+computes only the kept eigenpairs, in K's and M's memory, near 2.3 n^2
+items.  Non-Hermitian: the LU factor and M go before the QR algorithm,
+M^-1 K when it returns, and only the kept real eigenvector columns become
+complex: near 2 n^2 items.
 
 Above 8000 dofs ARPACK runs once, in shift-invert mode at 0 from a fixed
 start vector.  A Hermitian pencil uses ARPACK's generalized mode, which
@@ -95,22 +97,20 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 def _lapack(name: str):
     """The LAPACK routine `name` through scipy's Cython LAPACK, by ctypes.
 
-    scipy wraps sytrd and hetrd but not stedc, ormtr or unmtr.  Call the
-    result with bytes for a char *, a Python int for an int * and an array
-    for its data pointer.  Every integer argument must be a 32-bit `int *`
-    (LP64): a build with 64-bit LAPACK integers fails here, not in memory.
+    scipy wraps sytrd but not stedc or ormtr.  Call the result with bytes
+    for a char *, a Python int for an int * and a float64 array for its
+    data pointer; it returns nothing.  Every integer argument must be a
+    32-bit `int *` (LP64): a build with 64-bit LAPACK integers fails here,
+    not in memory.
     """
     capsule = cython_lapack.__pyx_capi__[name]
     signature = _capsule_name(capsule)
-    ret, args = signature.decode()[:-1].split(" (")
-    args = args.split(", ")
+    args = signature.decode()[:-1].split(" (")[1].split(", ")
     for arg in args:
-        if arg not in ("char *", "int *") and not arg.endswith(
-                ("_d *", "_s *", "_complex *")):
-            raise ImportError("LAPACK %s takes %r, not the LP64 interface's "
-                              "int *" % (name, arg))
-    restype = {"void": None, "d": ctypes.c_double}[ret.rpartition("_")[2]]
-    fn = ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * len(args))(
+        if arg not in ("char *", "int *") and not arg.endswith("_d *"):
+            raise ImportError("LAPACK %s takes %r, not char *, double * or "
+                              "the LP64 interface's int *" % (name, arg))
+    fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(
         _capsule_pointer(capsule, signature))
 
     def call(*values):
@@ -138,16 +138,18 @@ def _prefix(n: int, keep: np.ndarray) -> int:
 
 
 def _evd(a: np.ndarray, count: int):
-    """Every eigenvalue w of the Hermitian matrix in the lower triangle of
-    the n x n Fortran array `a`, and the eigenvectors v that hold the
-    `count` kept ones, bit for bit as syevd/heevd(lower=1) computes them;
-    `a` becomes v.
+    """Every eigenvalue w of the real symmetric matrix in the lower triangle
+    of the n x n float64 Fortran array `a`, and the eigenvectors v that
+    hold the `count` kept ones, bit for bit as syevd(lower=1) computes them
+    for a matrix it does not scale; `a` becomes v.
 
-    syevd's own steps: scale into [rmin, rmax], sytrd/hetrd, stedc('I')
-    into a second n x n array, ormtr/unmtr from the reflectors left in `a`.
-    Here the reflectors are packed while stedc runs, and stedc writes into
-    `a`: 2.5 n^2 items at peak, not 3 n^2.  Workspace lengths are syevd's
-    and heevd's wherever they set a block size.
+    syevd's own steps: sytrd, stedc('I') into a second n x n array, ormtr
+    from the reflectors left in `a`.  Here the reflectors are packed while
+    stedc runs, and stedc writes into `a`: 2.5 n^2 items at peak, not
+    3 n^2.  Workspace lengths are syevd's wherever they set a block size.
+    syevd scales a matrix whose largest entry lies outside [1e-146, 1e146]
+    first; no assembled pencil comes near (after sygst its largest entry
+    is about 2 at level 0 and grows 4x per level).
 
     Only the leading W = `_prefix(n, keep)` columns are back-transformed,
     keep being the `_keep` set of w, and v is that n x W view of `a` (all
@@ -160,48 +162,26 @@ def _evd(a: np.ndarray, count: int):
     up to n/4 and at sampled counts for n = 508, 762, 2044, 3066 and 4094;
     `tests/test_solve.py` keeps the sweep.
     """
-    # the pointers below assume a square float64 or complex128 Fortran array
-    a = np.asfortranarray(a, np.result_type(a.dtype, np.float64))
+    # the pointers below assume a square float64 Fortran array
+    a = np.asfortranarray(a)
     n = len(a)
-    if a.shape != (n, n):
-        raise ValueError("not a square matrix: shape %s" % (a.shape,))
-    herm = a.dtype.kind == "c"
-    trd, lan, mtr = (("hetrd", "lanhe", "unmtr") if herm
-                     else ("sytrd", "lansy", "ormtr"))
-    reduce, query = sla.get_lapack_funcs((trd, trd + "_lwork"), (a,))
-    p = reduce.typecode
+    if a.dtype != np.float64 or a.shape != (n, n):
+        raise ValueError("not a square float64 matrix: %s %s" % (a.dtype, a.shape))
+    sytrd, sytrd_lwork = sla.get_lapack_funcs(("sytrd", "sytrd_lwork"), (a,))
     info = np.zeros(1, np.intc)
 
-    # syevd scales a largest entry outside [rmin, rmax] to its bound;
-    # dlascl's factor is then sigma itself, on each real component
-    real = np.finfo(a.dtype)
-    rmin, rmax = np.sqrt(real.tiny / real.eps), np.sqrt(real.eps / real.tiny)
-    anrm = _lapack(p + lan)(b"M", b"L", n, a, n, None)
-    sigma = min(max(anrm, rmin), rmax) / anrm if n > 1 and anrm > 0 else 1.0
-    if sigma != 1.0:
-        a.T.view(real.dtype)[...] *= sigma
-
-    lwork, status = query(n, lower=1)  # n nb: the blocked reduction
-    _check(status, p + trd)
-    a, d, e, tau, status = reduce(a, lower=1, lwork=int(lwork.real), overwrite_a=1)
-    _check(status, p + trd)
-    refl = np.empty((n - 1) * (n - 2) // 2, a.dtype)
+    lwork, status = sytrd_lwork(n, lower=1)  # n nb: the blocked reduction
+    _check(status, "dsytrd")
+    a, d, e, tau, status = sytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check(status, "dsytrd")
+    refl = np.empty((n - 1) * (n - 2) // 2)
     for j, s in _reflector_spans(n):
         refl[s] = a[j + 2:, j]
 
-    liwork = 3 + 5 * n
-    if herm:  # zheevd: n complex, 1 + 4n + 2n^2 real
-        work = (np.empty(n, a.dtype), n,
-                np.empty(1 + 4 * n + 2 * n * n, d.dtype), 1 + 4 * n + 2 * n * n)
-    else:
-        work = (np.empty(1 + 4 * n + n * n, a.dtype), 1 + 4 * n + n * n)
-    _lapack(p + "stedc")(b"I", n, d, e, a, n, *work,
-                         np.empty(liwork, np.intc), liwork, info)
-    _check(info[0], p + "stedc")
-    del work
-
-    if sigma != 1.0:
-        d *= 1 / sigma
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    _lapack("dstedc")(b"I", n, d, e, a, n, np.empty(lwork), lwork,
+                      np.empty(liwork, np.intc), liwork, info)
+    _check(info[0], "dstedc")
     cols = _prefix(n, _keep(d, count))
 
     q = np.zeros_like(a)
@@ -211,35 +191,41 @@ def _evd(a: np.ndarray, count: int):
     # dormqr blocks by nb <= 64 with a 65 x 64 T block, out of dsyevd's
     # 1 + 4n + n^2 items (nb shrinks below n = 80, where cols is n).  A
     # workspace short of nb sets nb = (lwork - 65 * 64) / cols, so dsyevd's
-    # lwork keeps nb on fewer columns, and zheevd's lwork = n becomes cols:
-    # unblocked at any n, as zheevd runs it
-    lwork = cols if herm else min(1 + 4 * n + n * n, 64 * n + 65 * 64)
-    _lapack(p + mtr)(b"L", b"L", b"N", n, cols, q, n, tau, a, n,
-                     np.empty(lwork, a.dtype), lwork, info)
-    _check(info[0], p + mtr)
+    # lwork keeps nb on fewer columns
+    lwork = min(lwork, 64 * n + 65 * 64)
+    _lapack("dormtr")(b"L", b"L", b"N", n, cols, q, n, tau, a, n,
+                      np.empty(lwork), lwork, info)
+    _check(info[0], "dormtr")
     return d, a[:, :cols]
 
 
 def _dense_eig(K, M, hermitian: bool, count: int):
     """The kept eigenpairs (`_keep`) of the pencil, by dense LAPACK."""
     Kd, Md = K.toarray(order="F"), M.toarray(order="F")
+    if hermitian and Kd.dtype.kind == "c":
+        # hegvx; Delta is positive semidefinite here, so the `count`
+        # smallest eigenvalues are those of least modulus, in (Re, Im) order
+        try:
+            return sla.eigh(Kd, Md, subset_by_index=(0, count - 1),
+                            overwrite_a=True, overwrite_b=True,
+                            check_finite=False)
+        except sla.LinAlgError as exc:  # M not positive definite included
+            raise SolverNotConverged("LAPACK hegvx failed: %s" % exc) from exc
     if hermitian:
         # sygvd's four steps in place; the Cholesky factor L is dropped while
         # the eigensolve runs and rebuilt for trsm (potrf is deterministic:
         # same bits)
-        np.asarray_chkfinite(K.data), np.asarray_chkfinite(M.data)
-        pfx = "he" if Kd.dtype.kind == "c" else "sy"
-        potrf, gst = sla.get_lapack_funcs(("potrf", pfx + "gst"), (Kd,))
+        potrf, sygst = sla.get_lapack_funcs(("potrf", "sygst"), (Kd,))
         L, info = potrf(Md, lower=1, overwrite_a=1)
         _check(info, _POTRF)
-        Kd, info = gst(Kd, L, lower=1, overwrite_a=1)
-        _check(info, pfx + "gst")
+        Kd, info = sygst(Kd, L, lower=1, overwrite_a=1)
+        _check(info, "sygst")
         del L, Md
         w, v = _evd(Kd, count)  # only the columns that hold the kept ones
         L, info = potrf(M.toarray(order="F"), lower=1, overwrite_a=1)
         _check(info, _POTRF)
         trsm = sla.get_blas_funcs("trsm", (v,))
-        v = trsm(1.0, L, v, lower=1, trans_a=2 if pfx == "he" else 1, overwrite_b=1)
+        v = trsm(1.0, L, v, lower=1, trans_a=1, overwrite_b=1)
         keep = _keep(w, count)
         return w[keep], v[:, keep]
     lu = sla.lu_factor(Md, overwrite_a=True)

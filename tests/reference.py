@@ -2,7 +2,9 @@
 
 They build checks out of the package's own pieces: the complex conjugate
 and similarity transforms of a representation, whose spectra and traces
-are known functions of the original's, the rotation of a character
+are known functions of the original's, the non-split extension of one
+character by another, whose spectrum and traces are the two characters'
+together, the rotation of a character
 around the octagon, which must leave both sides of the identity
 unchanged, every eigenvalue of a pencil matched to its nearest partner
 in another, the inverse cosine transform
@@ -19,8 +21,10 @@ import scipy.linalg as sla
 
 from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
+from tracebench.fuchsian import RELATOR
 from tracebench.hyperbolic import canonical_sign, displacement, mat_inv, renormalize
-from tracebench.reps import Representation, _word_image, character_rep
+from tracebench.reps import (Representation, _word_image, character_rep,
+                             from_generator_images)
 
 _COND_CEIL = 1e12
 
@@ -38,6 +42,39 @@ def similar_rep(r: Representation, P) -> Representation:
         raise SingularImage("similarity transform condition %.3e too large" % cond)
     Pinv = np.linalg.inv(P)
     return Representation(np.stack([P @ m @ Pinv for m in r.images]))
+
+
+def extension_rep(z1, z2, seed: int, cocycle: bool = True) -> Representation:
+    """rho = [[chi1, c], [0, chi2]] for the characters with values z1 and z2
+    on a1, b1, a2, b2, with a fixed random complex c drawn from `seed`.
+
+    The (1, 2) entry of rho(relator) is linear in c = (c_1, .., c_4), each
+    term a product of diagonal entries around one c_k, so c is projected
+    onto the null space of that linear form (the cocycle condition);
+    `cocycle=False` skips the projection and the relator fails.  The chi1
+    sections form an invariant subspace with quotient chi2, so the twisted
+    spectrum is spec(chi1) and spec(chi2) together, algebraic
+    multiplicities counted, and tr rho = chi1 + chi2 on every class.  Two
+    equal characters give a unipotent twist: the form is 0 and any c
+    passes.
+    """
+    def images(c):
+        m = np.zeros((4, 2, 2), complex)
+        m[:, 0, 0], m[:, 0, 1], m[:, 1, 1] = z1, c, z2
+        return m
+
+    def corner(c):  # the (1, 2) entry of rho(relator), linear in c
+        m, out = images(c), np.eye(2, dtype=complex)
+        for letter in RELATOR:
+            out = out @ (m[letter - 1] if letter > 0 else np.linalg.inv(m[-letter - 1]))
+        return out[0, 1]
+
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    form = np.array([corner(e) for e in np.eye(4)])
+    if cocycle and np.any(form):
+        c -= form.conj() * (form @ c) / (form @ form.conj())
+    return from_generator_images(images(c))
 
 
 def pairing_values(g, r: Representation) -> list:
@@ -142,13 +179,18 @@ def evaluate_word_by_letter(g, w) -> np.ndarray:
 def dense_eig_copying(K, M, hermitian: bool, count: int):
     """The dense pencil solve with C-order matrices and no overwrites.
 
-    The same LAPACK calls as `tracebench.spectral.solve._dense_eig` on the
-    same data, but each call works on a Fortran-order copy of its inputs,
-    and `scipy.linalg.eig` builds every complex eigenvector.  Returns the
-    `count` eigenpairs of least modulus, sorted by (Re, Im).
+    For a real Hermitian or a non-Hermitian pencil, the same LAPACK calls
+    as `tracebench.spectral.solve._dense_eig` on the same data, but each
+    call works on a Fortran-order copy of its inputs, and
+    `scipy.linalg.eig` builds every complex eigenvector.  A complex
+    Hermitian pencil runs hegvx for the `count` smallest eigenpairs, as
+    `_dense_eig` does, on copies.  Returns the `count` eigenpairs of least
+    modulus, sorted by (Re, Im).
     """
     Kd, Md = K.toarray(), M.toarray()
-    if hermitian:
+    if hermitian and Kd.dtype.kind == "c":
+        w, v = sla.eigh(Kd, Md, subset_by_index=(0, count - 1))
+    elif hermitian:
         w, v = sla.eigh(Kd, Md)
     else:
         w, v = sla.eig(sla.lu_solve(sla.lu_factor(Md), Kd))
