@@ -83,10 +83,11 @@ L_MAX_CAP = 7.25
 # while path-dependent floating-point drift stays below ~1e-9, so 1e-6 cells
 # never merge distinct elements.  They do not always identify equal ones: a
 # drift across a cell boundary leaves one element in two adjacent cells.
-# The ball holds 1 such pair at L_max 6, 17 at L_max 7 and 39 at L_MAX_CAP
+# The ball holds no such pair at L_max 6 and 1 at L_max 7 and L_MAX_CAP
 # (pairs of ball elements within 1e-5 of each other; none lies within 1e-3
-# without lying within 1e-5); the search forms no child that steps back to
-# its parent, which would add 35 pairs at L_max 7 and 48 at L_MAX_CAP.
+# without lying within 1e-5).  The search forms no child that steps back
+# to its parent; at these radii that child would add no pair, but at the
+# larger radius L_max + 2R + 0.5 it adds 48 at L_MAX_CAP.
 # Such duplicates cost only repeated work, because classes are keyed by
 # their canonical form.
 # The four integer keys of a matrix are deduped as one `_ROW`, the exact
@@ -102,7 +103,7 @@ _SLICE_ROWS = 1024
 _PULL_STEPS = 400
 
 # Most ball elements enumeration may visit.  At L_MAX_CAP the projection
-# is about 117 k, so this only fires once the cap is raised.
+# is about 30 k, so this only fires once the cap is raised.
 _BUDGET = 6_000_000
 
 
@@ -495,6 +496,39 @@ def _canonical_forms(forms: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray
     return conj[best], keys, cols[best]
 
 
+def _displacement_bound(ell, R: float):
+    """Largest displacement d(o, gamma o) of an element of translation
+    length `ell` whose axis passes within R of the basepoint o, by
+    sinh(d(o, gamma o) / 2) = cosh(d(o, axis gamma)) sinh(ell / 2)."""
+    return 2.0 * np.arcsinh(np.cosh(R) * np.sinh(ell / 2.0))
+
+
+def _conjugator_radius(L_max: float, R: float) -> float:
+    """Displacement up to which ball elements serve as the canonical
+    search's conjugators."""
+    return L_max / 2.0 + 2.0 * R + 0.7
+
+
+def _ball_radius(L_max: float, R: float) -> float:
+    """Radius of the element ball that `enumerate_classes` searches.
+
+    Every class meets the Dirichlet octagon: the axis of some conjugate
+    passes through it, so within its circumradius R of the basepoint, and
+    that conjugate's displacement is at most `_displacement_bound(L_max,
+    R)`.  The ball holds it with 0.5 to spare.  The slack is what keeps the
+    class tables bit for bit: a class's word and matrix come from the first
+    element of its key in ball order, and that element can lie past the
+    bound.  With a slack of 0.2 the classes of length 5.828 at L_max 5.85
+    take other words, and their lengths move by 3.5e-15.  The triangle
+    bound L_max + 2R is 1.38 larger at L_max 6, and its ball about four
+    times the size.
+
+    The ball also holds the conjugators: its radius is at least
+    `_conjugator_radius`, which is the larger one below L_max 3.3.
+    """
+    return max(float(_displacement_bound(L_max, R)) + 0.5, _conjugator_radius(L_max, R))
+
+
 def enumerate_classes(g: SurfaceGroup, L_max: float):
     """One canonical representative per nontrivial conjugacy class with
     geodesic length <= L_max, sorted by (length, trace, word)."""
@@ -505,7 +539,8 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
         )
 
     R = g.circumradius
-    mats, disp, parent, letter = _bfs_ball(g.pairings, L_max + 2.0 * R + 0.5)
+    d_rad = _conjugator_radius(L_max, R)
+    mats, disp, parent, letter = _bfs_ball(g.pairings, _ball_radius(L_max, R))
 
     tr_all = np.abs(trace(mats))
     max_tr = 2.0 * np.cosh(L_max / 2.0)
@@ -522,10 +557,8 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
     # collapse identical pulled forms before the canonical search
     reps, _ = _add_rows(np.empty(0, _ROW), _round_keys(pulled))
 
-    # the conjugators: the ball holds them, since this radius is below the
-    # ball's for every L_max >= 0.4, and below the systole (3.06) there are
-    # no candidates and no conjugators are needed
-    d_rad = L_max / 2.0 + 2.0 * R + 0.7
+    # the conjugators: every element within d_rad, which the ball holds
+    # because `_ball_radius` is at least d_rad
     delta_idx = np.nonzero(disp <= d_rad)[0]
     delta = mats[delta_idx]
     delta_inv = mat_inv(delta)

@@ -315,7 +315,8 @@ def solve_spectrum(sys: AssembledSystem, count: int) -> SpectrumResult:
     # pencil residuals with unit-norm eigenvectors, in the pairs' own field
     v = v * (1.0 / np.linalg.norm(v, axis=0, keepdims=True))
     res = np.linalg.norm(sys.K @ v - (sys.M @ v) * vals, axis=0)
-    vals = vals.astype(complex, copy=False)
+    # + 0.0 turns the -0.0 parts of ARPACK's 1 / nu into the dense path's +0.0
+    vals = vals.astype(complex, copy=False) + 0.0
 
     scale = np.abs(sys.K.data).max()
     bad = ~(res <= 1e-8 * (1.0 + np.abs(vals)) * scale)  # NaN fails too

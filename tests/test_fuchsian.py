@@ -8,13 +8,16 @@ The expected values here are produced by two independent routes:
   shares the ball-generation alphabet with the implementation (the side
   pairings) but none of the canonicalization machinery: classes are
   merged by literally conjugating with every ball element and matching
-  rounded keys.  Its ball comes from a per-element reference search
-  (`_reference_ball`), pruned at the generic tile-path bound
-  r_keep + circumradius rather than at the Dirichlet-domain bound
-  r_keep that `_bfs_ball` relies on; at a single radius the vectorized
-  `_bfs_ball` must reproduce the reference search bit for bit.  The ball
-  is inverse-closed, so the oracle counts the two orientations of each
-  geodesic separately; count agreement checks that contract too.
+  rounded keys.  Its members and conjugators lie within the triangle
+  bound r_keep = L + 2 circumradius + 0.5 (`_triangle_radius`), not the
+  displacement bound that `enumerate_classes` searches to, and its ball
+  comes from a per-element reference search (`_reference_ball`), pruned
+  at the generic tile-path bound r_keep + circumradius rather than at the
+  Dirichlet-domain bound r_keep that `_bfs_ball` relies on; at a single
+  radius the vectorized `_bfs_ball` must reproduce the reference search
+  bit for bit.  The ball is inverse-closed, so the oracle counts the two
+  orientations of each geodesic separately; count agreement checks that
+  contract too.
 """
 
 import functools
@@ -281,9 +284,16 @@ def _keys(m):
     return np.round(m.reshape(-1, 4) / 1e-6).astype(np.int64)
 
 
-def _r_keep(group, L):
-    """Ball radius of `enumerate_classes` at cutoff L."""
+def _triangle_radius(group, L):
+    """The brute-force oracle's reference radius at cutoff L: the triangle
+    bound on the displacement of a class member whose axis meets the
+    octagon, with 0.5 to spare."""
     return L + 2 * group.circumradius + 0.5
+
+
+def _ball_radius(group, L):
+    """Ball radius of `enumerate_classes` at cutoff L."""
+    return fuchsian._ball_radius(L, group.circumradius)
 
 
 def _reference_ball(group, radius):
@@ -331,7 +341,7 @@ def _oracle_classes(group, L):
     Its ball searches to r_keep + circumradius and keeps r_keep: a tile
     path to gamma stays within disp(gamma) + circumradius of the basepoint,
     so this holds without the Dirichlet-domain descent."""
-    r_keep = _r_keep(group, L)
+    r_keep = _triangle_radius(group, L)
     ball, disp, _, _ = _reference_ball(group, r_keep + group.circumradius)
     r_kept = disp <= r_keep
 
@@ -365,7 +375,7 @@ def _oracle_classes(group, L):
 
 
 def _ball(group, L):
-    return fuchsian._bfs_ball(group.pairings, _r_keep(group, L))
+    return fuchsian._bfs_ball(group.pairings, _ball_radius(group, L))
 
 
 @pytest.mark.parametrize("L", [4.0, 5.0])
@@ -373,7 +383,7 @@ def test_ball_matches_reference(group, L, monkeypatch):
     # same elements, order and words, bit for bit; also when the children
     # are formed 1 or 7 frontier rows at a time, so that a slice boundary
     # falls inside every level
-    want = _reference_ball(group, _r_keep(group, L))
+    want = _reference_ball(group, _ball_radius(group, L))
     for rows in (fuchsian._SLICE_ROWS, 1, 7):
         monkeypatch.setattr(fuchsian, "_SLICE_ROWS", rows)
         got = _ball(group, L)
@@ -385,10 +395,11 @@ def test_ball_matches_reference(group, L, monkeypatch):
 
 def test_ball_peak_memory(group):
     # the search forms the children of 1,024 frontier rows at a time and
-    # dedupes them against one sorted array of 32-byte key rows: 134 B per
-    # element at the L_max 7 radius, the four returned arrays' 49 B
-    # included.  All of a level's children at once and a set of row bytes
-    # took 289 B
+    # dedupes them against one sorted array of 32-byte key rows: 138 B per
+    # element at the L_max 7 radius (15,658 elements), the four returned
+    # arrays' 49 B included.  All of a level's children at once and a set
+    # of row bytes took 289 B on the 60,210 elements of the L_max 7
+    # triangle radius
     tracemalloc.start()
     try:
         size = _ball(group, 7.0)[0].shape[0]
@@ -398,30 +409,52 @@ def test_ball_peak_memory(group):
     assert peak <= 200 * size
 
 
-@pytest.mark.parametrize("L", [6.0, fuchsian.L_MAX_CAP])
-def test_ball_skips_only_back_steps(group, L, monkeypatch):
+def _fields(classes):
+    return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
+            for c in classes]
+
+
+@pytest.mark.parametrize("L, radius, backs", [
+    (6.0, _ball_radius, 0),
+    (fuchsian.L_MAX_CAP, _ball_radius, 0),
+    (fuchsian.L_MAX_CAP, _triangle_radius, 48),
+], ids=["6.0", "7.25", "7.25-triangle"])
+def test_ball_skips_only_back_steps(group, L, radius, backs, monkeypatch):
     # the child by the inverse of an element's last letter is the parent
     # again; the search through every child keeps one only when rounding
-    # drift puts it in a new key cell (none at L_max 6, 48 at the cap).
-    # Skipping them drops those and changes nothing else, classes included
-    mats, disp, parent, letter = bfs_ball_every_child(group.pairings, _r_keep(group, L))
+    # drift puts it in a new key cell: none at the ball radius up to the
+    # cap, 48 at the cap's triangle radius.  Skipping them drops those and
+    # changes nothing else, classes included
+    radius = radius(group, L)
+    mats, disp, parent, letter = bfs_ball_every_child(group.pairings, radius)
     back = np.zeros(mats.shape[0], dtype=bool)
     back[1:] = (parent[1:] > 0) & (letter[1:] == (letter[parent[1:]] + 4) % 8)
-    assert back.any() == (L > 7)
+    assert back.sum() == backs
     kept = ~back
     renumber = np.cumsum(kept) - 1
     want = (mats[kept], disp[kept], np.r_[-1, renumber[parent[kept][1:]]], letter[kept])
-    for got, w in zip(_ball(group, L), want):
+    bfs_ball = fuchsian._bfs_ball
+    for got, w in zip(bfs_ball(group.pairings, radius), want):
         assert got.dtype == w.dtype
         assert np.array_equal(got, w)
 
-    def fields(classes):
-        return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
-                for c in classes]
+    monkeypatch.setattr(fuchsian, "_bfs_ball", lambda p, r: bfs_ball(p, radius))
+    classes = _fields(enumerate_classes(group, L))
+    monkeypatch.setattr(fuchsian, "_bfs_ball", lambda p, r: bfs_ball_every_child(p, radius))
+    assert _fields(enumerate_classes(group, L)) == classes
 
-    classes = enumerate_classes(group, L)
-    monkeypatch.setattr(fuchsian, "_bfs_ball", bfs_ball_every_child)
-    assert fields(enumerate_classes(group, L)) == fields(classes)
+
+@pytest.mark.parametrize("L", [4.0, 5.85, 6.0, 7.0, fuchsian.L_MAX_CAP])
+def test_ball_radius_keeps_the_class_tables(group, L, monkeypatch):
+    # a class's word and matrix come from the first element of its key in
+    # ball order, which can lie past the displacement bound; the bound's
+    # 0.5 slack keeps every field of every class what the triangle radius
+    # gives.  With a slack of 0.2, L_max 5.85 gives other words
+    classes = _fields(enumerate_classes(group, L))
+    bfs_ball = fuchsian._bfs_ball
+    monkeypatch.setattr(fuchsian, "_bfs_ball",
+                        lambda p, r: bfs_ball(p, _triangle_radius(group, L)))
+    assert _fields(enumerate_classes(group, L)) == classes
 
 
 def _reference_canonical(pulled, delta, delta_inv):
@@ -440,11 +473,11 @@ def test_ball_descends_by_side_pairings(group):
     # element but the identity has a side-pairing neighbour gamma g_k of
     # strictly smaller displacement; pruning the search at the ball radius
     # relies on that.  The least gap measured is 0.156 at L_max 6 and 7.
-    mats, disp, _, _ = _ball(group, 6.0)
+    mats, disp, _, _ = _ball(group, 7.0)
     assert np.array_equal(mats[0], np.eye(2))
     nbr = np.einsum("nij,kjl->nkil", mats[1:], group.pairings)
     nbr_disp = displacement(renormalize(nbr).reshape(-1, 2, 2)).reshape(-1, 8)
-    assert mats.shape[0] > 20000
+    assert mats.shape[0] > 15000
     assert np.all(nbr_disp.min(axis=1) <= disp[1:] - 0.1)
 
 
@@ -461,7 +494,7 @@ def test_ball_projection_within_twice_the_ball(group, monkeypatch, L):
     assert _ball(group, L)[0].shape[0] == size
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=3)
 def _search_inputs(L):
     """Every pulled form of `enumerate_classes` at cutoff L (before the
     dedupe by key), its conjugators and their inverses."""
@@ -470,8 +503,24 @@ def _search_inputs(L):
     tr = np.abs(trace(mats))
     cand = (tr > 2 + 1e-9) & (tr <= 2 * np.cosh(L / 2))
     pulled, _ = fuchsian._pull_axes(mats[cand], group.pairings)
-    delta = mats[disp <= L / 2 + 2 * group.circumradius + 0.7]
+    delta = mats[disp <= fuchsian._conjugator_radius(L, group.circumradius)]
     return pulled, delta, mat_inv(delta)
+
+
+@pytest.mark.parametrize("L", [6.0, 7.0])
+def test_pulled_forms_lie_within_the_displacement_bound(group, L):
+    # a pulled form's axis meets the octagon, so it passes within the
+    # circumradius R of the basepoint, and the displacement bound of its
+    # length holds; the ball radius rests on that.  The largest axis
+    # distance is R, so the bound is attained
+    pulled, _, _ = _search_inputs(L)
+    R = group.circumradius
+    bound = fuchsian._displacement_bound(translation_length(pulled), R)
+    excess = float((displacement(pulled) - bound).max())
+    print("largest excess over the displacement bound %.2g, margin %.0fx to 1e-9"
+          % (excess, 1e-9 / excess))
+    assert excess <= 1e-9
+    assert axis_dist_to_origin(pulled).max() == pytest.approx(R, abs=1e-9)
 
 
 @pytest.mark.slow
@@ -479,7 +528,7 @@ def test_canonical_search_matches_full_search():
     # the search conjugates only the pairs its axis filter keeps; it must
     # pick the same conjugator, and the same bits, as renormalizing every
     # conjugate
-    for L, forms in [(6.0, 1952), (fuchsian.L_MAX_CAP, 7096)]:
+    for L, forms in [(6.0, 1008), (fuchsian.L_MAX_CAP, 3400)]:
         pulled, delta, delta_inv = _search_inputs(L)
         assert pulled.shape[0] == forms
         got, keys, idx = fuchsian._canonical_forms(pulled, delta, delta_inv)

@@ -567,6 +567,26 @@ def test_residuals_match_complex_arithmetic(group, twist, monkeypatch):
     assert np.array_equal(seen["res"], pencil_residuals_complex(sys.K, sys.M, vals, v))
 
 
+def test_arpack_eigenvalues_carry_no_negative_zero(group, monkeypatch):
+    # 1/nu of a negative real nu = x + 0j has imaginary part -0.0 (at e, the
+    # lowest eigenvalue -0.1145); the dense path gives +0.0.  The clusters'
+    # mean hides the sign, so the spy reads what solve_spectrum hands them
+    sys = assemble(build_octagon_mesh(3, group), character_rep((np.e, 1, 1, 1)))
+    seen = {}
+    cluster = solve._cluster
+
+    def spy(vals, res):
+        seen["vals"] = vals
+        return cluster(vals, res)
+
+    monkeypatch.setattr(solve, "_cluster", spy)
+    monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
+    solve_spectrum(sys, 40)
+    vals = seen["vals"]
+    assert vals[0].real == pytest.approx(-0.1145, abs=1e-4)
+    assert not np.any(np.signbit(vals.imag[vals.imag == 0]))
+
+
 def test_nan_eigenpair_fails_the_residual_gate(sys3, monkeypatch):
     # a NaN residual compares False against any tolerance, so the gate must
     # ask whether each residual passes, not whether it fails
