@@ -10,17 +10,19 @@ SolverNotConverged, as an ARPACK one does.
 
 Memory: K and M are made dense once each, in Fortran order, and LAPACK
 works in that memory (overwrite flags, so f2py copies nothing).  Real
-Hermitian: sygvd's steps run one by one, the Cholesky factor of M is
-dropped with M while the eigensolve runs and rebuilt for the
-back-transform (potrf is deterministic).  The eigensolve is syevd's own
-three steps, but while stedc runs the Householder vectors sit packed in
-(n-1)(n-2)/2 items and stedc writes the tridiagonal eigenvectors into the
-reduced K's memory, so n free dofs peak near 2.5 n^2 items (stedc's n^2
-workspace, those eigenvectors and the packed vectors) where syevd holds
-3 n^2.  The kept set is chosen from stedc's eigenvalues, and ormtr and the
-trsm run on only the leading W = min(n, max(256, 16 ceil((width + 8) /
-16))) columns, width being one past the last kept column: the kept
-columns come out bit for bit as at full width (measured, see `_evd`).
+Hermitian: sygvd's steps run one by one through scipy's f2py wrappers
+(potrf, sygst, then syevd's three steps sytrd, stevd and ormqr, then
+trsm), the Cholesky factor of M is dropped with M while the eigensolve
+runs and rebuilt for the back-transform (potrf is deterministic).  While
+dstevd runs, the reduced K is gone and the Householder vectors sit packed
+in (n-1)(n-2)/2 items, so n free dofs peak near 2.5 n^2 items (those
+vectors, dstevd's n x n eigenvectors and its n^2 workspace) where syevd
+holds 3 n^2.  dstevd scales only a tridiagonal whose largest entry lies
+outside [1e-146, 1e146], and that entry is 7.8e3 at level 5.  The kept
+set is chosen from dstevd's eigenvalues, and ormqr and the trsm run on
+only the leading W = min(n, max(256, 16 ceil((width + 8) / 16))) columns,
+width being one past the last kept column: the kept columns come out bit
+for bit as at full width (measured, see `_evd`).
 Complex Hermitian (a unitary twist that is not real): LAPACK's hegvx
 computes only the kept eigenpairs, in K's and M's memory, near 2.3 n^2
 items.  Non-Hermitian: the LU factor and M go before the QR algorithm,
@@ -45,14 +47,11 @@ of algebraic multiplicity carry the worst residual over their members.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
 
 from .. import TRUST_DIVISOR
 from ..errors import SolverNotConverged
@@ -86,41 +85,6 @@ def _check(info: int, step: str) -> None:
         raise SolverNotConverged("LAPACK %s failed: info %d" % (step, info))
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(
-    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-@functools.cache
-def _lapack(name: str):
-    """The LAPACK routine `name` through scipy's Cython LAPACK, by ctypes.
-
-    scipy wraps sytrd but not stedc or ormtr.  Call the result with bytes
-    for a char *, a Python int for an int * and a float64 array for its
-    data pointer; it returns nothing.  Every integer argument must be a
-    32-bit `int *` (LP64): a build with 64-bit LAPACK integers fails here,
-    not in memory.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    signature = _capsule_name(capsule)
-    args = signature.decode()[:-1].split(" (")[1].split(", ")
-    for arg in args:
-        if arg not in ("char *", "int *") and not arg.endswith("_d *"):
-            raise ImportError("LAPACK %s takes %r, not char *, double * or "
-                              "the LP64 interface's int *" % (name, arg))
-    fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(args))(
-        _capsule_pointer(capsule, signature))
-
-    def call(*values):
-        return fn(*(ctypes.byref(ctypes.c_int(v)) if isinstance(v, int)
-                    else v.ctypes.data if isinstance(v, np.ndarray) else v
-                    for v in values))
-
-    return call
-
-
 def _reflector_spans(n: int):
     """(j, slice) pairs: Householder vector j, rows j + 2.. of column j of
     sytrd's lower output, in one packed array of (n-1)(n-2)/2 items."""
@@ -131,72 +95,79 @@ def _reflector_spans(n: int):
 
 
 def _prefix(n: int, keep: np.ndarray) -> int:
-    """How many leading columns of stedc's output to back-transform so that
+    """How many leading columns of dstevd's output to back-transform so that
     the columns in `keep` come out as at full width: keep's span rounded
     up past a column tile of 16, at least 256, at most n."""
     return min(n, max(256, 16 * -(-(int(keep.max()) + 9) // 16)))
 
 
-def _evd(a: np.ndarray, count: int):
+def _evd(held: list, count: int):
     """Every eigenvalue w of the real symmetric matrix in the lower triangle
-    of the n x n float64 Fortran array `a`, and the eigenvectors v that
-    hold the `count` kept ones, bit for bit as syevd(lower=1) computes them
-    for a matrix it does not scale; `a` becomes v.
+    of the n x n float64 array popped from the one-item list `held`, and
+    the eigenvectors v that hold the `count` kept ones, bit for bit as
+    syevd(lower=1) computes them for a matrix it does not scale.
 
-    syevd's own steps: sytrd, stedc('I') into a second n x n array, ormtr
-    from the reflectors left in `a`.  Here the reflectors are packed while
-    stedc runs, and stedc writes into `a`: 2.5 n^2 items at peak, not
-    3 n^2.  Workspace lengths are syevd's wherever they set a block size.
-    syevd scales a matrix whose largest entry lies outside [1e-146, 1e146]
-    first; no assembled pencil comes near (after sygst its largest entry
-    is about 2 at level 0 and grows 4x per level).
+    syevd's own steps through scipy's f2py wrappers: dsytrd in the
+    array's memory, dstevd (dstedc('I') behind a norm check) into an n x n
+    array of its own, and dormqr, as dormtr('L', 'L') calls it, from the
+    reflectors.  The reflectors are packed while
+    dstevd runs, and the popped array is dropped before it, so that only
+    the packed reflectors, dstevd's eigenvectors and its n^2 workspace are
+    alive: 2.5 n^2 items at peak, not 3 n^2.  Workspace lengths are
+    syevd's wherever they set a block size.  dstevd scales a tridiagonal
+    whose largest entry lies outside [1e-146, 1e146] first, as syevd does
+    the matrix; no assembled pencil comes near (that entry is 2.2 at
+    level 0, 624 at level 3 and 7.8e3 at level 5).
 
     Only the leading W = `_prefix(n, keep)` columns are back-transformed,
-    keep being the `_keep` set of w, and v is that n x W view of `a` (all
-    n columns when count = n).  The rule is measured on OpenBLAS 0.3.31
-    (AVX-512), not derived: a bare prefix changes the bits of its last
-    column tile, and one narrower than about 150 columns changes every
-    column (kernels are picked by size).  With the padding and the 256
-    floor, the kept columns, after this back-transform and a trsm on the
-    same prefix, equal full-width ones at n = 254 and 1022 for every count
-    up to n/4 and at sampled counts for n = 508, 762, 2044, 3066 and 4094;
-    `tests/test_solve.py` keeps the sweep.
+    keep being the `_keep` set of w, and v is that n x W view of dstevd's
+    eigenvectors (all n columns when count = n).  The rule is measured on
+    OpenBLAS 0.3.31 (AVX-512), not derived: a bare prefix changes the bits
+    of its last column tile, and one narrower than about 150 columns
+    changes every column (kernels are picked by size).  With the padding
+    and the 256 floor, the kept columns, after this back-transform and a
+    trsm on the same prefix, equal full-width ones at n = 254 and 1022 for
+    every count up to n/4 and at sampled counts for n = 508, 762, 2044,
+    3066 and 4094; `tests/test_solve.py` keeps the sweep.
     """
-    # the pointers below assume a square float64 Fortran array
-    a = np.asfortranarray(a)
+    a = np.asfortranarray(held.pop())
     n = len(a)
     if a.dtype != np.float64 or a.shape != (n, n):
         raise ValueError("not a square float64 matrix: %s %s" % (a.dtype, a.shape))
-    sytrd, sytrd_lwork = sla.get_lapack_funcs(("sytrd", "sytrd_lwork"), (a,))
-    info = np.zeros(1, np.intc)
+    sytrd, sytrd_lwork, stevd, ormqr = sla.get_lapack_funcs(
+        ("sytrd", "sytrd_lwork", "stevd", "ormqr"), (a,))
 
-    lwork, status = sytrd_lwork(n, lower=1)  # n nb: the blocked reduction
-    _check(status, "dsytrd")
-    a, d, e, tau, status = sytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
-    _check(status, "dsytrd")
+    lwork, info = sytrd_lwork(n, lower=1)  # n nb: the blocked reduction
+    _check(info, "dsytrd")
+    a, d, e, tau, info = sytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check(info, "dsytrd")
     refl = np.empty((n - 1) * (n - 2) // 2)
     for j, s in _reflector_spans(n):
         refl[s] = a[j + 2:, j]
+    del a
 
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    _lapack("dstedc")(b"I", n, d, e, a, n, np.empty(lwork), lwork,
-                      np.empty(liwork, np.intc), liwork, info)
-    _check(info[0], "dstedc")
+    # f2py wants max(n - 1, 1) off-diagonal items; dstevd reads n - 1
+    d, z, info = stevd(d, e if n > 1 else np.zeros(1),
+                       overwrite_d=1, overwrite_e=1)
+    _check(info, "dstevd")
     cols = _prefix(n, _keep(d, count))
 
-    q = np.zeros_like(a)
+    # dormtr('L', 'L') runs dormqr on rows 1.. of the reflectors and of z
+    q = np.zeros((n - 1, n - 1), order="F")
     for j, s in _reflector_spans(n):
-        q[j + 2:, j] = refl[s]
+        q[j + 1:, j] = refl[s]
     del refl
     # dormqr blocks by nb <= 64 with a 65 x 64 T block, out of dsyevd's
     # 1 + 4n + n^2 items (nb shrinks below n = 80, where cols is n).  A
     # workspace short of nb sets nb = (lwork - 65 * 64) / cols, so dsyevd's
     # lwork keeps nb on fewer columns
-    lwork = min(lwork, 64 * n + 65 * 64)
-    _lapack("dormtr")(b"L", b"L", b"N", n, cols, q, n, tau, a, n,
-                      np.empty(lwork), lwork, info)
-    _check(info[0], "dormtr")
-    return d, a[:, :cols]
+    lwork = min(1 + 4 * n + n * n, 64 * n + 65 * 64)
+    if n > 1:  # f2py rejects a 0 x 0 q, and dormtr returns at once there
+        c, _, info = ormqr(b"L", b"N", q, tau, z[1:, :cols], lwork,
+                           overwrite_c=1)
+        _check(info, "dormqr")
+        z[1:, :cols] = c
+    return d, z[:, :cols]
 
 
 def _dense_eig(K, M, hermitian: bool, count: int):
@@ -220,8 +191,9 @@ def _dense_eig(K, M, hermitian: bool, count: int):
         _check(info, _POTRF)
         Kd, info = sygst(Kd, L, lower=1, overwrite_a=1)
         _check(info, "sygst")
-        del L, Md
-        w, v = _evd(Kd, count)  # only the columns that hold the kept ones
+        held = [Kd]  # _evd drops the reduced K before dstevd runs
+        del Kd, L, Md
+        w, v = _evd(held, count)  # only the columns that hold the kept ones
         L, info = potrf(M.toarray(order="F"), lower=1, overwrite_a=1)
         _check(info, _POTRF)
         trsm = sla.get_blas_funcs("trsm", (v,))

@@ -1,4 +1,3 @@
-import ctypes
 import importlib
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +7,6 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from tracebench.errors import SolverNotConverged
@@ -309,15 +307,15 @@ def test_complex_hermitian_solve_is_near_the_full_solve(group, twist, level,
     assert np.all(np.abs(seen["w"] - w_ref) <= 1e-10 * (1 + np.abs(w_ref)))
 
 
-# n <= 2: no packed reflector; n <= 25: stedc runs steqr; n = 70: dsyevd's
-# workspace shrinks dormqr's block to 14; n = 200: blocked throughout
+# n <= 2: no packed reflector; n <= 25: dstevd's dstedc runs steqr; n = 70:
+# dsyevd's workspace shrinks dormqr's block to 14; n = 200: blocked throughout
 @pytest.mark.parametrize("n", (1, 2, 3, 25, 26, 70, 200), ids="float64-{}-1.0".format)
 def test_evd_steps_match_syevd_and_heevd(n, rng):
     x = rng.standard_normal((n, n))
     a = np.asfortranarray(x + x.T)
     w_ref, v_ref, info = sla.lapack.dsyevd(a, lower=1)
     assert info == 0
-    w, v = solve._evd(a.copy(order="F"), n)
+    w, v = solve._evd([a.copy(order="F")], n)
     assert w.dtype == w_ref.dtype and v.dtype == v_ref.dtype
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
@@ -325,7 +323,7 @@ def test_evd_steps_match_syevd_and_heevd(n, rng):
 def test_evd_takes_float64_only(rng):
     # a complex Hermitian pencil goes to hegvx, never through _evd
     with pytest.raises(ValueError, match="not a square float64 matrix"):
-        solve._evd(np.eye(3, dtype=complex), 3)
+        solve._evd([np.eye(3, dtype=complex)], 3)
 
 
 def _symmetric(rng, n, shift=0.0):
@@ -341,7 +339,7 @@ def _narrow_mismatches(a, counts, rng):
     # any triangular factor: only sizes decide which kernels OpenBLAS runs
     L = np.asfortranarray(np.tril(rng.standard_normal((n, n))) + n * np.eye(n))
     trsm = sla.get_blas_funcs("trsm", (a,))
-    w_full, v_full = solve._evd(a.copy(order="F"), n)
+    w_full, v_full = solve._evd([a.copy(order="F")], n)
     v_full = trsm(1.0, L, v_full, lower=1, trans_a=1)
     widest = {}  # prefix width -> the largest count that needs it
     for c in counts:
@@ -349,7 +347,7 @@ def _narrow_mismatches(a, counts, rng):
         widest[width] = max(widest.get(width, 0), c)
     bad = []
     for width, c in sorted(widest.items()):
-        w, v = solve._evd(a.copy(order="F"), c)
+        w, v = solve._evd([a.copy(order="F")], c)
         assert v.shape == (n, width)
         v = trsm(1.0, L, v, lower=1, trans_a=1, overwrite_b=1)
         keep = solve._keep(w, c)  # every smaller count's kept set is in it
@@ -381,49 +379,21 @@ def test_prefix_covers_kept_columns_inside_the_spectrum(n, rng):
     # indefinite: the eigenvalues of least modulus sit mid-spectrum, so the
     # prefix reaches far past `count` columns
     a = _symmetric(rng, n)
-    w, _ = solve._evd(a.copy(order="F"), 100)
+    w, _ = solve._evd([a.copy(order="F")], 100)
     assert solve._keep(w, 100).min() > 250
     assert _narrow_mismatches(a, (1, 100, 190), rng) == []
 
 
-# integer arguments of each routine reached through the Cython capsules
-_LP64_INTS = {"dstedc": 6, "dormtr": 6}
-
-
-@pytest.mark.parametrize("name", sorted(_LP64_INTS))
-def test_lapack_capsules_take_32_bit_integers(name):
-    # a scipy built with 64-bit LAPACK integers would write int64 through
-    # these pointers; the signatures must name every integer `int *`
-    sig = solve._capsule_name(cython_lapack.__pyx_capi__[name]).decode()
-    args = sig[sig.index("(") + 1:-1].split(", ")
-    assert args.count("int *") == _LP64_INTS[name]
-    assert not [a for a in args if "int" in a and a != "int *"]
-    solve._lapack(name)
-
-
-# a capsule's name must outlive it
-_ILP64_SIGNATURE = b"void (char *, int64_t *, __pyx_t_double_complex *, int64_t *)"
-
-
-def test_lapack_helper_refuses_64_bit_integers(monkeypatch):
-    new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
-                            ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
-    fake = new(1, _ILP64_SIGNATURE, None)  # never called
-    monkeypatch.setitem(cython_lapack.__pyx_capi__, "zfake", fake)
-    with pytest.raises(ImportError, match="zfake.*int64_t"):
-        solve._lapack("zfake")
-
-
 @pytest.mark.parametrize("twist", sorted(_TWISTS) + ["unitary-d2"])
 def test_dense_solve_peak_memory(group, twist):
-    # a real Hermitian pencil: the reduced K, which becomes the
-    # eigenvectors, stedc's n^2 workspace and the packed Householder
-    # vectors (n^2 / 2); the Cholesky factor and M are dropped before the
-    # eigensolve and the factor is rebuilt after it: 2.51 n^2 items (3.01
-    # with syevd, which keeps the vectors in place, 4 with the factor kept
-    # as sygvd does, 6 when f2py copies the inputs).  A complex Hermitian
-    # one: hegvx works in K's and M's memory and adds the kept quarter of
-    # the eigenvectors, 2.29 n^2 (2.33 for d = 2 at level 3).  A
+    # a real Hermitian pencil: while dstevd runs, its n x n eigenvectors,
+    # its n^2 workspace and the packed Householder vectors (n^2 / 2); the
+    # reduced K is dropped before dstevd, the Cholesky factor and M before
+    # the eigensolve, and the factor is rebuilt after it: 2.51 n^2 items
+    # (3.01 with syevd, which keeps the vectors in place, 4 with the
+    # factor kept as sygvd does, 6 when f2py copies the inputs).  A complex
+    # Hermitian one: hegvx works in K's and M's memory and adds the kept
+    # quarter of the eigenvectors, 2.29 n^2 (2.33 for d = 2 at level 3).  A
     # non-Hermitian one holds M^-1 K and the eigenvectors, and a real one
     # builds complex vectors only for the kept columns: 2.13 n^2
     level = 3 if twist == "unitary-d2" else 4
@@ -521,29 +491,47 @@ def test_complex_hermitian_dense_failure_is_a_solver_error(group, tmp_path,
     assert main(["--config", str(conf), "spectrum"]) == 3
 
 
-def test_stedc_failure_is_a_solver_error(group, tmp_path, monkeypatch):
-    # a stedc that does not converge reports info > 0: a numerical failure,
-    # exit 3, not a validation error
-    get = solve._lapack
+def _stall(monkeypatch, routine, info):
+    """Make the scipy wrapper `routine` (stevd or ormqr) run, then report
+    `info`, as a LAPACK call that fails does."""
+    get = sla.get_lapack_funcs
 
-    def failing(name):
-        routine = get(name)
-        if not name.endswith("stedc"):
-            return routine
+    def failing(names, arrays):
+        funcs = get(names, arrays)
+        if routine not in names:
+            return funcs
+        i = names.index(routine)
+        fn = funcs[i]
 
-        def stalled(*args):
-            routine(*args)
-            args[-1][0] = 7  # info
+        def stalled(*args, **kwargs):
+            return fn(*args, **kwargs)[:-1] + (info,)
 
-        return stalled
+        return funcs[:i] + [stalled] + funcs[i + 1:]
 
-    monkeypatch.setattr(solve, "_lapack", failing)
+    monkeypatch.setattr(sla, "get_lapack_funcs", failing)
+
+
+def _real_hermitian_fails(group, tmp_path, match):
     sys = assemble(build_octagon_mesh(2, group), character_rep((1, 1, 1, 1)))
-    with pytest.raises(SolverNotConverged, match="dstedc failed: info 7"):
+    with pytest.raises(SolverNotConverged, match=match):
         solve_spectrum(sys, 10)
     conf = tmp_path / "exp.ini"
     conf.write_text(_FAILING_CONF.format(out=tmp_path / "out", values=1))
     assert main(["--config", str(conf), "spectrum"]) == 3
+
+
+def test_stedc_failure_is_a_solver_error(group, tmp_path, monkeypatch):
+    # a dstevd whose dstedc does not converge reports info > 0: a numerical
+    # failure, exit 3, not a validation error
+    _stall(monkeypatch, "stevd", 7)
+    _real_hermitian_fails(group, tmp_path, "LAPACK dstevd failed: info 7")
+
+
+def test_back_transform_failure_is_a_solver_error(group, tmp_path, monkeypatch):
+    # a failed back-transform (dormqr reports a bad argument as info < 0)
+    # is a solver error too, exit 3
+    _stall(monkeypatch, "ormqr", -5)
+    _real_hermitian_fails(group, tmp_path, "LAPACK dormqr failed: info -5")
 
 
 @pytest.mark.parametrize("twist", ["trivial", "e03", "unitary"])
