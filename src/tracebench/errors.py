@@ -2,7 +2,8 @@
 
 The CLI maps failures onto its documented exit codes by class:
 ValidationError (and ValueError) exits 2 for validation problems (bad
-input, bad config, violated preconditions); any other TracebenchError
+input, bad config, a representation that fails the one gate in
+`reps.Representation`, violated preconditions); any other TracebenchError
 exits 3 for numerical failures (solver or quadrature did not converge,
 truncation not justified, enumeration did not finish, a class word off
 its matrix).
@@ -36,17 +37,14 @@ class RelatorViolation(ValidationError):
 
 
 class SingularImage(ValidationError):
-    """A generator image (or similarity transform) is singular/ill-conditioned."""
+    """A generator image is below full numerical rank (numpy's default
+    rule, so the verdict does not depend on the image's scale)."""
 
 
 class ArgumentOutOfStrip(ValidationError):
     """Test-function argument where phi cannot be evaluated: outside the
     strip |Im lambda| <= 50/T, or inside it where the quadrature cannot
     settle."""
-
-
-class ConstraintCycleInconsistent(ValidationError):
-    """Corner identification cycle does not close up under the representation."""
 
 
 class CacheMismatch(ValidationError):

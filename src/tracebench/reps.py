@@ -16,8 +16,7 @@ import numpy as np
 from .errors import RelatorViolation, SingularImage
 from .fuchsian import RELATOR, ConjugacyClass
 
-_GENERATOR_COUNT = 4
-_DET_FLOOR = 1e-12
+_GENERATORS = ("a1", "b1", "a2", "b2")
 _RELATOR_TOL = 1e-8  # the one relator gate, in Representation
 
 
@@ -25,16 +24,34 @@ _RELATOR_TOL = 1e-8  # the one relator gate, in Representation
 class Representation:
     """Images of a1, b1, a2, b2; everything else is derived from them.
 
-    Building one checks the relator: a `relator_residual` above
-    _RELATOR_TOL raises RelatorViolation, so every representation the
-    pipeline sees satisfies [a1,b1][a2,b2] = 1.
+    The one constructor and the one gate.  Building one raises, in this
+    order: ValueError unless the images are four finite d x d matrices,
+    d >= 1; SingularImage for an image below full numerical rank by
+    numpy's default rule (`np.linalg.matrix_rank`: singular values above
+    sigma_max * d * eps), so the verdict does not depend on the image's
+    scale; and RelatorViolation for a `relator_residual` above
+    _RELATOR_TOL or NaN (an image whose inverse overflows).  So every
+    representation the pipeline sees has images float64 can invert and
+    satisfies [a1,b1][a2,b2] = 1.
     """
 
     images: np.ndarray  # (4, d, d) complex
 
     def __post_init__(self):
-        object.__setattr__(self, "images", np.asarray(self.images, dtype=complex))
-        object.__setattr__(self, "dim", self.images.shape[1])
+        images = np.asarray(self.images, dtype=complex)
+        shape = images.shape
+        if (len(shape) != 3 or shape[0] != len(_GENERATORS)
+                or shape[1] != shape[2] or shape[1] < 1):
+            raise ValueError("need 4 square generator images of one size, "
+                             "got shape %s" % (shape,))
+        if not np.all(np.isfinite(images)):
+            raise ValueError("generator images must be finite")
+        for name, rank in zip(_GENERATORS, np.linalg.matrix_rank(images)):
+            if rank < shape[1]:
+                raise SingularImage("image of %s is numerically singular: "
+                                    "rank %d < %d" % (name, rank, shape[1]))
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "dim", shape[1])
         # cache extended-precision images and inverses: trace invariance
         # under word conjugation is only as good as |W^-1 W - I|, and a
         # double-precision inverse (rel err ~ cond * 1e-16) leaks into the
@@ -50,7 +67,7 @@ class Representation:
         object.__setattr__(self, "_images_inv", inv)
         residual = np.max(np.abs(_word_image(self, RELATOR) - np.eye(self.dim)))
         object.__setattr__(self, "relator_residual", float(residual))
-        if self.relator_residual > _RELATOR_TOL:
+        if not self.relator_residual <= _RELATOR_TOL:  # a NaN fails too
             raise RelatorViolation(
                 "relator residual %.3e exceeds tol %.3e"
                 % (self.relator_residual, _RELATOR_TOL)
@@ -72,34 +89,13 @@ def _word_image(r: Representation, w) -> np.ndarray:
     return out.astype(complex)
 
 
-def from_generator_images(images) -> Representation:
-    """Representation from four square, finite, nonsingular images."""
-    mats = [np.atleast_2d(np.asarray(m, dtype=complex)) for m in images]
-    if len(mats) != _GENERATOR_COUNT:
-        raise ValueError("need 4 generator images, got %d" % len(mats))
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("generator images must be square and same size")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("generator images must be finite")
-        if abs(np.linalg.det(m)) < _DET_FLOOR:
-            raise SingularImage("generator image is numerically singular")
-    return Representation(np.stack(mats))
-
-
 def character_rep(z) -> Representation:
-    """Scalar character from four finite, nonzero values, one per generator.
+    """Scalar character with the values z on a1, b1, a2, b2.
 
     Commutators of scalars are identically 1, so the relator holds for
-    any such values.
+    any four nonzero values; `Representation` rejects the rest.
     """
-    z = [complex(v) for v in z]
-    if len(z) != _GENERATOR_COUNT:
-        raise ValueError("character needs 4 values, got %d" % len(z))
-    if not all(v != 0 and np.isfinite(v) for v in z):
-        raise ValueError("character values must be finite and nonzero")
-    return Representation(np.array([[[v]] for v in z], dtype=complex))
+    return Representation(np.asarray(z, dtype=complex)[:, None, None])
 
 
 def trace_on_class(r: Representation, c: ConjugacyClass) -> complex:
@@ -115,15 +111,18 @@ def unitarity_defect(r: Representation) -> float:
 
 def rep_from_json(obj) -> Representation:
     """Build a representation from the JSON input format: exactly
-    {"dim": d, "images": [...]}, four images of row-major [re, im] pairs.
+    {"dim": d, "images": [...]}, d a JSON integer >= 1 and four images of
+    row-major [re, im] pairs.
     """
     if not isinstance(obj, dict) or set(obj) != {"dim", "images"}:
         raise ValueError('expected exactly the keys "dim" and "images"')
-    d = int(obj["dim"])
+    d = obj["dim"]
+    if type(d) is not int or d < 1:  # a bool is an int, but not a dim
+        raise ValueError('"dim" must be an integer >= 1, got %r' % (d,))
     images = []
     for flat in obj["images"]:
         m = np.array(
             [complex(re, im) for re, im in flat], dtype=complex
         ).reshape(d, d)
         images.append(m)
-    return from_generator_images(images)
+    return Representation(images)

@@ -31,6 +31,7 @@ def _pin_threads() -> None:
 
 
 def _load(args):
+    from ..errors import ConfigError
     from .config import ExperimentConfig, load_config, validate
 
     if args.config:
@@ -41,7 +42,10 @@ def _load(args):
         from dataclasses import replace
 
         cfg = replace(cfg, out_dir=args.out)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output directory %s: %s" % (cfg.out_dir, exc))
     return cfg
 
 

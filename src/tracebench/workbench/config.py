@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import configparser
 import json
-import os
 from dataclasses import dataclass
 
 from .. import TRUST_DIVISOR
 from ..analysis import TestFunction
-from ..errors import ConfigError
+from ..errors import ConfigError, RelatorViolation, SingularImage
 from ..fuchsian import L_MAX_CAP
 from ..reps import Representation, character_rep, rep_from_json
 
@@ -73,20 +72,22 @@ def _representation(sec) -> tuple:
             raise ConfigError("unknown key %r in [representation] of kind %s"
                               % (key, kind))
     if kind == "character":
+        where = "[representation]"
         vals = [_complex_of(s, "[representation] values")
                 for s in sec.get("values", "1, 1, 1, 1").split(",")]
-        try:
-            return kind, character_rep(vals)
-        except ValueError as exc:
-            raise ConfigError("[representation]: %s" % exc)
-    if "path" not in sec:
+    elif "path" not in sec:
         raise ConfigError("[representation] of kind file needs a path")
-    path = sec["path"].strip()
+    else:
+        path = sec["path"].strip()
+        where = "[representation] path %s" % path
     try:
+        if kind == "character":
+            return kind, character_rep(vals)
         with open(path) as fh:
             return kind, rep_from_json(json.load(fh))
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError("[representation] path %s: %s" % (path, exc))
+    except (OSError, ValueError, TypeError, SingularImage,
+            RelatorViolation) as exc:
+        raise ConfigError("%s: %s" % (where, exc))
 
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -164,7 +165,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    if not os.path.exists(path):
-        raise ConfigError("config file %s does not exist" % path)
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config file %s: %s" % (path, exc))
+    return parse_config(text)

@@ -7,7 +7,8 @@ character by another, whose spectrum and traces are the two characters'
 together, the rotation of a character
 around the octagon, which must leave both sides of the identity
 unchanged, every eigenvalue of a pencil matched to its nearest partner
-in another, the inverse cosine transform
+in another, a solved spectrum with each eigenvalue repeated by its
+multiplicity, the inverse cosine transform
 that confirms the transform convention of `tracebench.analysis`, and
 plain forms that the package's batched, in-place or pruned ones must
 match bit for bit: a word product letter by letter, the copying dense
@@ -23,8 +24,7 @@ from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
 from tracebench.fuchsian import RELATOR
 from tracebench.hyperbolic import canonical_sign, displacement, mat_inv, renormalize
-from tracebench.reps import (Representation, _word_image, character_rep,
-                             from_generator_images)
+from tracebench.reps import Representation, _word_image, character_rep
 
 _COND_CEIL = 1e12
 
@@ -74,7 +74,7 @@ def extension_rep(z1, z2, seed: int, cocycle: bool = True) -> Representation:
     form = np.array([corner(e) for e in np.eye(4)])
     if cocycle and np.any(form):
         c -= form.conj() * (form @ c) / (form @ form.conj())
-    return from_generator_images(images(c))
+    return Representation(images(c))
 
 
 def pairing_values(g, r: Representation) -> list:
@@ -118,6 +118,11 @@ def reflect_character(g, r: Representation) -> Representation:
 def pencil_eigenvalues(sys) -> np.ndarray:
     """Every eigenvalue of an assembled pencil, as those of dense M^-1 K."""
     return np.linalg.eigvals(np.linalg.solve(sys.M.toarray(), sys.K.toarray()))
+
+
+def flat_spectrum(spec) -> np.ndarray:
+    """A solved spectrum's eigenvalues, each repeated by its multiplicity."""
+    return np.concatenate([[lam] * m for lam, m, _ in spec.eigenvalues])
 
 
 def nearest_gap(a, b) -> float:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference import conjugate_rep, fourier_roundtrip, similar_rep
+from reference import conjugate_rep, flat_spectrum, fourier_roundtrip, similar_rep
 from test_fuchsian import _SYSTOLE, _oracle_classes
 
 from tracebench.analysis import TestFunction, phi_at
@@ -23,7 +23,7 @@ from tracebench.fuchsian import (
     word_inverse,
 )
 from tracebench.geomside import geometric_side
-from tracebench.reps import character_rep, from_generator_images, trace_on_class
+from tracebench.reps import Representation, character_rep, trace_on_class
 from tracebench.spectral import (
     assemble,
     build_octagon_mesh,
@@ -39,10 +39,6 @@ THRESHOLD = 0.05
 
 def _fns():
     return [TestFunction(T=t, k=2) for t in TS]
-
-
-def _flat(spec):
-    return np.concatenate([[lam] * m for lam, m, _ in spec.eigenvalues])
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +93,7 @@ def test_criterion_1_trace_residual_trivial(group, classes_L6, spec900, timings)
 @pytest.mark.slow
 def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
     r = character_rep((np.exp(0.3), 1, 1, 1))
-    lam = _flat(spec_e03)
+    lam = flat_spectrum(spec_e03)
     scale = np.abs(lam).max()
     max_im = np.abs(lam.imag).max()
     rels, im_fracs = [], []
@@ -121,7 +117,7 @@ def test_criterion_2_nonunitary_residual(group, classes_L6, spec_e03):
 @pytest.mark.slow
 def test_criterion_3_unitary_reality(group, classes_L6, spec_unit):
     r = character_rep((np.exp(1j * np.pi / 3), 1, 1, 1))
-    lam = _flat(spec_unit)
+    lam = flat_spectrum(spec_unit)
     worst = (np.abs(lam.imag) / (1 + np.abs(lam))).max()
     rels = []
     for f in _fns():
@@ -147,10 +143,10 @@ def test_criterion_4_weyl_law(group, spec900):
     mesh4 = build_octagon_mesh(4, group)
     s1 = solve_spectrum(assemble(mesh4, character_rep((1, 1, 1, 1))), 120)
     s2 = solve_spectrum(
-        assemble(mesh4, from_generator_images([np.eye(2)] * 4)), 240
+        assemble(mesh4, Representation([np.eye(2)] * 4)), 240
     )
     rs4 = np.linspace(5.0, min(
-        np.abs(_flat(s1)).max(), np.abs(_flat(s2)).max()) / 3.0, 7)
+        np.abs(flat_spectrum(s1)).max(), np.abs(flat_spectrum(s2)).max()) / 3.0, 7)
     doubling = all(
         n2 == 2 * n1
         for (_, n1, _), (_, n2, _) in zip(
@@ -200,7 +196,7 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
     checks = {}
 
     # (a) conjugation invariance of class traces
-    r2 = from_generator_images(group.generators)
+    r2 = Representation(group.generators)
     rc = character_rep((1.1 * np.exp(0.4j), 1, 1, 1))
     dev = 0.0
     for c in classes_L6[:40]:
@@ -217,15 +213,15 @@ def test_criterion_7_invariance_suite(group, classes_L6, rng):
     # (b) similarity invariance of spectra
     mesh2 = build_octagon_mesh(2, group)
     p = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
-    s1 = _flat(solve_spectrum(assemble(mesh2, r2), 20))
-    s2 = _flat(solve_spectrum(assemble(mesh2, similar_rep(r2, p)), 20))
+    s1 = flat_spectrum(solve_spectrum(assemble(mesh2, r2), 20))
+    s2 = flat_spectrum(solve_spectrum(assemble(mesh2, similar_rep(r2, p)), 20))
     sim_dev = np.max(np.abs(s1 - s2) / (1 + np.abs(s1)))
     checks["similarity"] = (sim_dev, 1e-7 * np.linalg.cond(p))
 
     # (c) conjugate-representation spectrum symmetry
     mesh3 = build_octagon_mesh(3, group)
-    sa = _flat(solve_spectrum(assemble(mesh3, rc), 40))
-    sb = np.conj(_flat(solve_spectrum(assemble(mesh3, conjugate_rep(rc)), 40)))
+    sa = flat_spectrum(solve_spectrum(assemble(mesh3, rc), 40))
+    sb = np.conj(flat_spectrum(solve_spectrum(assemble(mesh3, conjugate_rep(rc)), 40)))
     sb = sb[np.lexsort((sb.imag, sb.real))]
     checks["conjugate_rep"] = (
         np.max(np.abs(sa - sb) / (1 + np.abs(sa))), 1e-8,
@@ -276,12 +272,12 @@ def test_criterion_8_convergence(group, classes_L6, spec900):
         spec = solve_spectrum(
             assemble(build_octagon_mesh(level, group), r), count
         )
-        flat = np.sort(_flat(spec).real)
+        flat = np.sort(flat_spectrum(spec).real)
         lams[level] = flat[1:6]
         s = spectral_side(spec, f, group.covolume)
         g = geometric_side(group, classes_L6, r, f, L_max=6.0)
         rels[level] = abs(s - g.total) / abs(g.total)
-    flat5 = np.sort(_flat(spec900).real)
+    flat5 = np.sort(flat_spectrum(spec900).real)
     lams[5] = flat5[1:6]
     s5 = spectral_side(spec900, f, group.covolume)
     g5 = geometric_side(group, classes_L6, r, f, L_max=6.0)
@@ -306,7 +302,7 @@ def test_criterion_8_convergence(group, classes_L6, spec900):
 def test_criterion_9_rank2_holonomy(group, mesh5):
     # the generators themselves: irreducible, rank 2, not unitary.  Level 5
     # has 8,188 dofs, so it runs the real ARPACK path
-    r = from_generator_images(group.generators)
+    r = Representation(group.generators)
     classes = enumerate_classes(group, 7.0)
     fns = [TestFunction(T=t, k=2) for t in (4.0, 5.5, 7.0)]
     geo = [geometric_side(group, classes, r, f, L_max=7.0).total for f in fns]

@@ -4,12 +4,7 @@ import pytest
 from reference import nearest_gap, pencil_eigenvalues
 
 from tracebench.errors import RelatorViolation
-from tracebench.reps import (
-    Representation,
-    _word_image,
-    character_rep,
-    from_generator_images,
-)
+from tracebench.reps import Representation, _word_image, character_rep
 from tracebench.spectral.assemble import _constraint, _identifications, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 
@@ -69,7 +64,7 @@ def test_pencil_field_is_decided_at_assembly(group, chi, dtype):
     # contiguous data (SuperLU refuses a strided view); a complex one stays
     # complex128.  None stands for the rank-2 holonomy representation
     if chi is None:
-        r = from_generator_images(group.generators)
+        r = Representation(group.generators)
     else:
         r = character_rep((chi, 1, 1, 1))
     sys = assemble(build_octagon_mesh(2, group), r)
@@ -81,7 +76,7 @@ def test_pencil_field_is_decided_at_assembly(group, chi, dtype):
 def test_rank2_trivial_decouples(group):
     mesh = build_octagon_mesh(2, group)
     eye = np.eye(2)
-    sys2 = assemble(mesh, from_generator_images([eye, eye, eye, eye]))
+    sys2 = assemble(mesh, Representation([eye, eye, eye, eye]))
     sys1 = assemble(mesh, _trivial())
     assert sys2.N_free == 2 * sys1.N_free
     K2 = sys2.K.toarray()
@@ -90,10 +85,10 @@ def test_rank2_trivial_decouples(group):
 
 
 def test_fuchsian_rep_passes_corner_cycle(group):
-    # the 2-dim defining rep has relator residual ~1e-15, so the corner
-    # cycle consistency check must accept it
+    # the 2-dim defining rep has relator residual ~1e-15, and the corner
+    # cycle is the relator, so it glues into one corner fibre
     mesh = build_octagon_mesh(1, group)
-    sys = assemble(mesh, from_generator_images(group.generators))
+    sys = assemble(mesh, Representation(group.generators))
     assert sys.d == 2
     assert sys.N_free == 2 * (4 * 4 - 2)
 
@@ -116,15 +111,18 @@ def test_assembly_deterministic(group):
     assert np.array_equal(a.M.toarray(), b.M.toarray())
 
 
-@pytest.mark.parametrize("which", ["character", "holonomy"])
+@pytest.mark.parametrize("which", ["character", "holonomy", "far"])
 def test_slave_carries_inverse_pairing_image(group, which):
     # the gluing convention: a slave node of side k carries chi(g_k)^-1
     # times its master's value, on every side, tree and cycle edges alike;
-    # with chi(g_0) = a1 = 2 the slaves of side 0 get half their masters'
+    # with chi(g_0) = a1 = 2 the slaves of side 0 get half their masters'.
+    # "far" is a character whose pairing images reach 1e8
     if which == "character":
         r = character_rep((2.0, 3.0, 1.5j, 0.7 * np.exp(0.4j)))
+    elif which == "far":
+        r = character_rep((1e4, 1e-4, 1e-4, 1e-4))
     else:
-        r = from_generator_images(group.generators)
+        r = Representation(group.generators)
     mesh = build_octagon_mesh(2, group)
     _, factor = _identifications(mesh, r)
     for k, master, slave in mesh.boundary_pairing:
@@ -153,7 +151,7 @@ def test_constraint_maps_free_to_nodal_values(group, which, rng):
     if which == "unitary":
         r = character_rep((np.exp(1j * np.pi / 3), 1, 1, 1))
     else:
-        r = from_generator_images(group.generators)
+        r = Representation(group.generators)
     mesh = build_octagon_mesh(3, group)
     root, factor = _identifications(mesh, r)
     n, d = root.size, r.dim

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from reference import extension_rep, nearest_gap, pencil_eigenvalues
+from reference import extension_rep, flat_spectrum, nearest_gap, pencil_eigenvalues
 
 from tracebench.analysis import TestFunction
 from tracebench.errors import RelatorViolation
@@ -72,7 +72,7 @@ def test_spectrum_is_the_union_of_the_characters(mesh3, union, pair):
     sys = assemble(mesh3, _extension(pair))
     count = sys.N_free // 4
     spec = solve_spectrum(sys, count)
-    kept = np.concatenate([[lam] * m for lam, m, _ in spec.eigenvalues])
+    kept = flat_spectrum(spec)
     assert nearest_gap(kept, _least(union(z1, z2), count)) <= 1e-11
     if pair == "e03-unitary":
         # the check can fail: one character changed moves the union

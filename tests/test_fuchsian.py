@@ -409,11 +409,6 @@ def test_ball_peak_memory(group):
     assert peak <= 200 * size
 
 
-def _fields(classes):
-    return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
-            for c in classes]
-
-
 @pytest.mark.parametrize("L, radius, backs", [
     (6.0, _ball_radius, 0),
     (fuchsian.L_MAX_CAP, _ball_radius, 0),

@@ -8,7 +8,7 @@ import pytest
 from tracebench.analysis import TestFunction, identity_term
 from tracebench.fuchsian import enumerate_classes, free_reduce, word_inverse
 from tracebench.geomside import geometric_side
-from tracebench.reps import character_rep, from_generator_images
+from tracebench.reps import Representation, character_rep
 
 from reference import conjugate_rep
 
@@ -43,7 +43,7 @@ def test_support_filter(group, classes_L6):
 
 def test_rank_d_linearity(group, classes_L6):
     f = TestFunction(T=4.0, k=2)
-    r3 = from_generator_images([np.eye(3)] * 4)
+    r3 = Representation([np.eye(3)] * 4)
     a = geometric_side(group, classes_L6, TRIV, f, L_max=6.0)
     b = geometric_side(group, classes_L6, r3, f, L_max=6.0)
     assert b.identity_term == pytest.approx(3 * a.identity_term, rel=1e-14)
@@ -65,7 +65,7 @@ def test_inverse_character_pairing(group, classes_L6):
 
 def test_representative_independence(group, classes_L6, rng):
     f = TestFunction(T=5.9, k=2)
-    r = from_generator_images(group.generators)
+    r = Representation(group.generators)
     base = geometric_side(group, classes_L6, r, f, L_max=6.0)
     alphabet = [1, -1, 2, -2, 3, -3, 4, -4]
     mangled = []

@@ -8,8 +8,8 @@ import pytest
 from tracebench.errors import RelatorViolation, SingularImage
 from tracebench.fuchsian import free_reduce, word_inverse
 from tracebench.reps import (
+    Representation,
     character_rep,
-    from_generator_images,
     rep_from_json,
     trace_on_class,
     unitarity_defect,
@@ -19,14 +19,14 @@ from reference import conjugate_rep, similar_rep
 
 
 def test_trivial_rank3():
-    r = from_generator_images([np.eye(3)] * 4)
+    r = Representation([np.eye(3)] * 4)
     assert r.dim == 3
     assert r.relator_residual == 0.0
     assert unitarity_defect(r) == 0.0
 
 
 def test_scalar_images_always_close_relator():
-    r = from_generator_images([[[2.0]], [[1.0]], [[1.0]], [[1.0]]])
+    r = Representation([[[2.0]], [[1.0]], [[1.0]], [[1.0]]])
     assert r.dim == 1
     assert r.relator_residual < 1e-14
 
@@ -38,13 +38,47 @@ def test_relator_violation():
     # so perturbing a1 alone is not enough; perturb two non-commuting images
     mats[1] = np.eye(2) + 0.1 * np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(RelatorViolation):
-        from_generator_images(mats)
+        Representation(mats)
 
 
 def test_singular_image_rejected():
     mats = [np.eye(2)] * 3 + [np.zeros((2, 2))]
     with pytest.raises(SingularImage):
-        from_generator_images(mats)
+        Representation(mats)
+
+
+def test_rank_rule_does_not_depend_on_scale(group):
+    # full numerical rank is judged against the image's own largest
+    # singular value: far from the unitary locus is not singular, and
+    # neither is a tiny scalar multiple of an invertible image
+    tiny = character_rep((1e-13, 1, 1, 1))
+    far = character_rep((1e4, 1e-4, 1e-4, 1e-4))
+    holonomy = np.array(group.generators, dtype=complex)
+    holonomy[0] *= 1e-7  # a scalar factor leaves every commutator alone
+    scaled = Representation(holonomy)
+    assert tiny.relator_residual == far.relator_residual == 0.0
+    assert scaled.relator_residual <= 1e-12
+    # what float64 cannot invert to any digit is rejected, whatever its
+    # determinant, and so is a rank-1 image
+    for bad in (np.diag([1e9, 1e-9]), np.ones((2, 2))):
+        with pytest.raises(SingularImage, match="image of b1"):
+            Representation([np.eye(2), bad, np.eye(2), np.eye(2)])
+
+
+def test_images_must_be_four_finite_square_matrices():
+    for bad in (np.eye(2)[None].repeat(3, 0), np.ones((4, 2, 3)),
+                np.ones((4, 0, 0)), np.ones(4)):
+        with pytest.raises(ValueError, match="shape"):
+            Representation(bad)
+    with pytest.raises(ValueError, match="finite"):
+        Representation([[[np.inf]], [[0.0]], [[1.0]], [[1.0]]])
+
+
+def test_overflowing_inverse_fails_the_relator_gate():
+    # 1e-320 has full rank, but its inverse overflows float64 and the
+    # relator residual comes out NaN, which the gate rejects
+    with pytest.raises(RelatorViolation, match="nan"):
+        character_rep((1e-320, 1, 1, 1))
 
 
 def test_character_basics():
@@ -59,9 +93,11 @@ def test_character_basics():
     nonuni = character_rep((2, 1, 1, 1))
     assert unitarity_defect(nonuni) == pytest.approx(3.0, abs=1e-14)
 
-    for bad in ((0, 1, 1, 1), (1, 1, 1), (np.nan, 1, 1, 1)):
+    for bad in ((1, 1, 1), (np.nan, 1, 1, 1)):
         with pytest.raises(ValueError):
             character_rep(bad)
+    with pytest.raises(SingularImage):  # the class a zero file image raises
+        character_rep((0, 1, 1, 1))
 
 
 def test_trace_on_class_scalar_power(classes_L6):
@@ -77,7 +113,7 @@ def test_trace_is_class_function(group, classes_L6, rng):
     # the main thing the geometric side relies on
     reps = [
         character_rep((np.exp(0.3), 1, 1, 1)),
-        from_generator_images(group.generators),  # the Fuchsian rep itself
+        Representation(group.generators),  # the Fuchsian rep itself
     ]
     alphabet = [1, -1, 2, -2, 3, -3, 4, -4]
     for r in reps:
@@ -93,7 +129,7 @@ def test_trace_is_class_function(group, classes_L6, rng):
 def test_fuchsian_rep_traces_match_class_traces(group, classes_L6):
     # the side-pairing matrices are themselves a 2-dim representation; its
     # character must agree with the stored SL2 traces up to the PSL sign
-    r = from_generator_images(group.generators)
+    r = Representation(group.generators)
     assert r.relator_residual < 1e-9
     for c in classes_L6[::11]:
         assert abs(trace_on_class(r, c)) == pytest.approx(abs(c.trace), abs=1e-8)
@@ -105,7 +141,7 @@ def test_abelianization_oracle(classes_L6, rng):
     z1 = (1.3 + 0.4j, 0.9, 1.1j, 0.7 - 0.2j)
     z2 = (0.8, 1.0 + 0.5j, 1.2, 0.95j)
     mats = [np.diag([a, b]) for a, b in zip(z1, z2)]
-    r = from_generator_images(mats)
+    r = Representation(mats)
     assert r.relator_residual <= 1e-10
     ch1 = character_rep(z1)
     ch2 = character_rep(z2)
@@ -140,7 +176,7 @@ def test_conjugate_rep(classes_L6):
 
 
 def test_similar_rep(group, classes_L6, rng):
-    r = from_generator_images(group.generators)
+    r = Representation(group.generators)
     same = similar_rep(r, np.eye(2))
     assert np.allclose(same.images, r.images)
 
@@ -168,6 +204,11 @@ def test_rep_from_json(classes_L6):
         {"dim": 2},
         [eye_flat] * 4,
         {"dim": 2, "images": [[[np.nan, 0.0]] + eye_flat[1:]] + [eye_flat] * 3},
+        # "dim" is a JSON integer >= 1, never a float, string or bool
+        {"dim": 2.5, "images": [eye_flat] * 4},
+        {"dim": "2", "images": [eye_flat] * 4},
+        {"dim": True, "images": [[[1.0, 0.0]]] * 4},
+        {"dim": 0, "images": [[]] * 4},
     ):
         with pytest.raises(ValueError):
             rep_from_json(obj)

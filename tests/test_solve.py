@@ -10,15 +10,15 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from tracebench.errors import SolverNotConverged
-from tracebench.reps import character_rep, from_generator_images
+from tracebench.reps import Representation, character_rep
 from tracebench.spectral import solve
 from tracebench.spectral.assemble import AssembledSystem, assemble
 from tracebench.spectral.mesh import build_octagon_mesh
 from tracebench.spectral.solve import solve_spectrum
 from tracebench.workbench.cli import main
 
-from reference import (conjugate_rep, dense_eig_copying, pencil_residuals_complex,
-                       similar_rep)
+from reference import (conjugate_rep, dense_eig_copying, flat_spectrum,
+                       pencil_residuals_complex, similar_rep)
 
 # scipy's ARPACK wrapper, whose eigsh factors K - sigma M with its own splu
 _ARPACK = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
@@ -31,7 +31,7 @@ _TWISTS = {"trivial": 1, "e03": np.exp(0.3), "unitary": np.exp(1j * np.pi / 3),
 
 # a unitary d = 2 representation that is not real: a complex Hermitian
 # pencil of twice a character's size
-_UNITARY_D2 = from_generator_images(
+_UNITARY_D2 = Representation(
     [np.diag(np.exp(1j * np.pi / np.array([3, 5]))), np.eye(2),
      np.diag([1, np.exp(0.7j)]), np.eye(2)])
 
@@ -40,10 +40,6 @@ def _twist_rep(twist):
     if twist == "unitary-d2":
         return _UNITARY_D2
     return character_rep((_TWISTS[twist], 1, 1, 1))
-
-
-def _flat(spec):
-    return np.concatenate([[lam] * m for lam, m, _ in spec.eigenvalues])
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +59,7 @@ def test_trivial_ground_state(sys3):
 def test_count_and_ordering_and_residuals(sys3):
     spec = solve_spectrum(sys3, 40)
     assert sum(m for _, m, _ in spec.eigenvalues) == 40
-    flat = _flat(spec)
+    flat = flat_spectrum(spec)
     keys = [(z.real, z.imag) for z in flat]
     assert keys == sorted(keys)
     scale = np.abs(sys3.K.data).max()
@@ -82,7 +78,7 @@ def test_d_copies_double_multiplicities(group):
     mesh = build_octagon_mesh(3, group)
     s1 = solve_spectrum(assemble(mesh, character_rep((1, 1, 1, 1))), 30)
     eye = np.eye(2)
-    s2 = solve_spectrum(assemble(mesh, from_generator_images([eye] * 4)), 60)
+    s2 = solve_spectrum(assemble(mesh, Representation([eye] * 4)), 60)
     assert len(s1.eigenvalues) == len(s2.eigenvalues)
     for (l1, m1, _), (l2, m2, _) in zip(s1.eigenvalues, s2.eigenvalues):
         assert m2 == 2 * m1
@@ -94,19 +90,19 @@ def test_conjugate_rep_mirrors_spectrum(group):
     mesh = build_octagon_mesh(3, group)
     s = solve_spectrum(assemble(mesh, r), 40)
     sc = solve_spectrum(assemble(mesh, conjugate_rep(r)), 40)
-    a = _flat(s)
-    b = np.conj(_flat(sc))
+    a = flat_spectrum(s)
+    b = np.conj(flat_spectrum(sc))
     b = b[np.lexsort((b.imag, b.real))]
     assert np.all(np.abs(a - b) <= 1e-8 * (1 + np.abs(a)))
 
 
 def test_similarity_leaves_spectrum(group, rng):
-    r = from_generator_images(group.generators)
+    r = Representation(group.generators)
     p = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
     cond = np.linalg.cond(p)
     mesh = build_octagon_mesh(2, group)
-    s1 = _flat(solve_spectrum(assemble(mesh, r), 20))
-    s2 = _flat(solve_spectrum(assemble(mesh, similar_rep(r, p)), 20))
+    s1 = flat_spectrum(solve_spectrum(assemble(mesh, r), 20))
+    s2 = flat_spectrum(solve_spectrum(assemble(mesh, similar_rep(r, p)), 20))
     assert np.all(np.abs(s1 - s2) <= 1e-7 * (1 + np.abs(s1)) * cond)
 
 
@@ -114,7 +110,7 @@ def test_unitary_spectrum_real_and_bounded_below(group):
     mesh = build_octagon_mesh(3, group)
     sys = assemble(mesh, character_rep((np.exp(1j * np.pi / 3), 1, 1, 1)))
     spec = solve_spectrum(sys, 40)
-    flat = _flat(spec)
+    flat = flat_spectrum(spec)
     scale = np.abs(sys.K.data).max()
     assert np.all(np.abs(flat.imag) <= 1e-8 * (1 + np.abs(flat)))
     assert flat.real.min() >= -1e-8 * scale
@@ -128,7 +124,7 @@ def test_agmon_strip_stable_across_refinement(group):
     strips = []
     for level, count in ((3, 60), (4, 250)):
         spec = solve_spectrum(assemble(build_octagon_mesh(level, group), r), count)
-        roots = np.sqrt(_flat(spec) - 0.25)
+        roots = np.sqrt(flat_spectrum(spec) - 0.25)
         strips.append(np.abs(roots.imag).max())
     assert 0.5 <= strips[1] / strips[0] <= 2.0
 
@@ -145,7 +141,7 @@ def test_lambda1_converges_to_bolza_value(group, sys3):
     r = character_rep((1, 1, 1, 1))
     errs = []
     for sys in (sys3, assemble(build_octagon_mesh(4, group), r)):
-        mean = _flat(solve_spectrum(sys, 20))[1:4].real.mean()
+        mean = flat_spectrum(solve_spectrum(sys, 20))[1:4].real.mean()
         errs.append(abs(mean - LAMBDA1_BOLZA) / LAMBDA1_BOLZA)
     assert errs[1] <= 6e-3
     assert errs[0] / errs[1] >= 3.0
@@ -156,13 +152,13 @@ def test_sparse_path_matches_dense(group, twist, monkeypatch):
     # the non-unitary twists give a pencil whose M is not Hermitian, which
     # ARPACK's generalized mode cannot take
     if twist == "fuchsian":
-        r = from_generator_images(group.generators)
+        r = Representation(group.generators)
     else:
         r = character_rep((np.e if twist == "e" else 1, 1, 1, 1))
     sys = assemble(build_octagon_mesh(3, group), r)
-    dense = _flat(solve_spectrum(sys, 40))
+    dense = flat_spectrum(solve_spectrum(sys, 40))
     monkeypatch.setattr(solve, "_DENSE_CUTOFF", 0)
-    sparse = _flat(solve_spectrum(sys, 40))
+    sparse = flat_spectrum(solve_spectrum(sys, 40))
     assert sparse.size == dense.size
     # nearest-neighbour match both ways: (Re, Im) order can swap the two
     # members of a conjugate pair whose real parts tie
@@ -268,7 +264,7 @@ _TILE_COUNTS = (250, 255)
 def test_in_place_dense_solve_is_bit_identical(group, twist, count, level):
     # holonomy: the real non-Hermitian pencil of a d = 2 representation
     if twist == "holonomy":
-        r = from_generator_images(group.generators)
+        r = Representation(group.generators)
     else:
         r = character_rep((_TWISTS[twist], 1, 1, 1))
     sys = assemble(build_octagon_mesh(level, group), r)

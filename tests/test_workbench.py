@@ -11,7 +11,7 @@ import pytest
 from tracebench import TRUST_DIVISOR
 from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
-from tracebench.reps import character_rep, from_generator_images
+from tracebench.reps import Representation, character_rep
 from tracebench.spectral import assemble, build_octagon_mesh, solve_spectrum
 from tracebench.workbench import cli
 from tracebench.workbench import io as wio
@@ -73,7 +73,7 @@ def test_config_validation(mangle):
 def test_trust_region_at_load_matches_the_solver(group):
     # validate predicts N_free from level and d; the solver's own guard on
     # the assembled system must agree at every level, for d = 1 and 2
-    reps = (character_rep((1, 1, 1, 1)), from_generator_images(group.generators))
+    reps = (character_rep((1, 1, 1, 1)), Representation(group.generators))
     for level in range(6):
         mesh = build_octagon_mesh(level, group)
         for r in reps:
@@ -373,15 +373,35 @@ def test_cli_count_past_trust_region_fails_at_load(tmp_path):
     assert not (out / "lengths.csv").exists()
 
 
+def _rep_json(images) -> str:
+    """The JSON input format of the (4, d, d) images."""
+    images = np.asarray(images, dtype=complex)
+    return json.dumps({"dim": images.shape[1], "images": [
+        [[float(z.real), float(z.imag)] for z in m.ravel()] for m in images]})
+
+
 def test_cli_bad_representation_file_fails_at_load(tmp_path):
-    # a missing file, or a JSON without "images", is a config error: exit 2
-    # before any enumeration, with the path named and no output written
+    # a missing file, a JSON without "images", and images that fail the
+    # representation's gate (a zero or rank-1 image, a NaN, three images,
+    # a broken relator) are config errors: exit 2 before any enumeration,
+    # with the section and the path named and no output written
     missing = tmp_path / "missing.json"
     no_images = tmp_path / "no_images.json"
     no_images.write_text(json.dumps({"dim": 2}))
     cases = [(missing, cmd) for cmd in
              ("enumerate", "spectrum", "geomside", "weyl", "verify")]
     cases.append((no_images, "geomside"))
+    eye, shear = np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]])
+    for i, images in enumerate((
+        [eye, eye, eye, np.zeros((2, 2))],
+        [eye, np.ones((2, 2)), eye, eye],
+        [eye, eye, np.diag([1.0, np.nan]), eye],
+        [eye, eye, eye],
+        [shear, shear.T, eye, eye],
+    )):
+        rep = tmp_path / ("bad%d.json" % i)
+        rep.write_text(_rep_json(images))
+        cases.append((rep, "verify"))
     for i, (rep, cmd) in enumerate(cases):
         conf = tmp_path / ("rep%d.ini" % i)
         conf.write_text("[run]\nL_max = 3.5\n\n[representation]\nkind = file\n"
@@ -389,6 +409,77 @@ def test_cli_bad_representation_file_fails_at_load(tmp_path):
         out = tmp_path / ("out%d" % i)
         r = _run(["--config", str(conf), "--out", str(out), cmd])
         assert r.returncode == 2, (cmd, r.stderr)
-        assert str(rep) in r.stderr
+        assert "[representation] path %s" % rep in r.stderr
         assert "Traceback" not in r.stderr
         assert not out.exists()
+
+
+def test_cli_zero_character_fails_at_load(tmp_path):
+    # the character kind goes through the same gate: a zero value exits 2
+    # at load with the section named, like a zero image in a file
+    conf = tmp_path / "zero.ini"
+    conf.write_text("[run]\nL_max = 3.5\n\n[representation]\n"
+                    "kind = character\nvalues = 0, 1, 1, 1\n")
+    out = tmp_path / "out"
+    r = _run(["--config", str(conf), "--out", str(out), "verify"])
+    assert r.returncode == 2, r.stderr
+    assert "[representation]: image of a1 is numerically singular" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["tiny", "scaled", "far"])
+def test_cli_spectrum_far_from_the_unitary_locus(group, tmp_path, which):
+    # a representation is judged by its rank and its relator alone, so
+    # each of these loads, assembles and solves at level 3: a character
+    # value of 1e-13 and the holonomy with a1 scaled by 1e-7, both in a
+    # file and both with a determinant below 1e-12, and a character whose
+    # pairing images reach 1e8
+    holonomy = np.array(group.generators, dtype=complex)
+    holonomy[0] *= 1e-7  # a scalar factor leaves every commutator alone
+    files = {"tiny": [[[1e-13]], [[1]], [[1]], [[1]]], "scaled": holonomy}
+    if which in files:
+        rep = tmp_path / "rep.json"
+        rep.write_text(_rep_json(files[which]))
+        body = "kind = file\npath = %s\n" % rep
+    else:
+        body = "kind = character\nvalues = 1e4, 1e-4, 1e-4, 1e-4\n"
+    conf = tmp_path / "far.ini"
+    conf.write_text("[run]\nlevel = 3\ncount = 60\n\n[representation]\n"
+                    + body)
+    out = tmp_path / "out"
+    r = _run(["--config", str(conf), "--out", str(out), "spectrum"])
+    assert r.returncode == 0, r.stderr
+    assert len(wio.read_csv(str(out / "spectrum.csv"))[1]) >= 1
+
+
+def test_file_character_matches_the_character_kind(tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(_rep_json([[[1e-13]], [[1]], [[1]], [[1]]]))
+    by_file = parse_config("[representation]\nkind = file\npath = %s\n" % rep)
+    by_value = parse_config("[representation]\nkind = character\n"
+                            "values = 1e-13, 1, 1, 1\n")
+    a, b = by_file.representation, by_value.representation
+    assert a.images.dtype == b.images.dtype == complex
+    assert np.array_equal(a.images, b.images)
+    assert np.array_equal(a._images_inv, b._images_inv)
+
+
+@pytest.mark.parametrize("which", ["missing-config", "config-is-a-directory",
+                                   "out-is-a-file"])
+def test_cli_bad_path_at_load_is_a_config_error(tmp_path, which):
+    conf = tmp_path / "exp.ini"
+    conf.write_text("[run]\nL_max = 3.5\n")
+    out = tmp_path / "out"
+    if which == "missing-config":
+        conf = tmp_path / "no_such.ini"
+        bad = conf
+    elif which == "config-is-a-directory":
+        conf = bad = tmp_path
+    else:
+        out.write_text("")
+        bad = out
+    r = _run(["--config", str(conf), "--out", str(out), "enumerate"])
+    assert r.returncode == 2, r.stderr
+    assert str(bad) in r.stderr
+    assert "Traceback" not in r.stderr
