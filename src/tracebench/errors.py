@@ -5,8 +5,8 @@ ValidationError (and ValueError) exits 2 for validation problems (bad
 input, bad config, a representation that fails the one gate in
 `reps.Representation`, violated preconditions); any other TracebenchError
 exits 3 for numerical failures (solver or quadrature did not converge,
-truncation not justified, enumeration did not finish, a class word off
-its matrix).
+phi not evaluable at an argument, truncation not justified, enumeration
+did not finish, a class word off its matrix).
 """
 
 
@@ -39,12 +39,6 @@ class RelatorViolation(ValidationError):
 class SingularImage(ValidationError):
     """A generator image is below full numerical rank (numpy's default
     rule, so the verdict does not depend on the image's scale)."""
-
-
-class ArgumentOutOfStrip(ValidationError):
-    """Test-function argument where phi cannot be evaluated: outside the
-    strip |Im lambda| <= 50/T, or inside it where the quadrature cannot
-    settle."""
 
 
 class CacheMismatch(ValidationError):

@@ -61,13 +61,9 @@ Word = tuple  # of signed generator indices in {+-1..+-4}
 COT_PI_8 = 1.0 + np.sqrt(2.0)
 CIRCUMRADIUS = float(np.arccosh(COT_PI_8**2))
 
-# side-pairing letters --> presentation letters (see module docstring)
-_SIDE_TO_PRES = {
-    1: (1,),
-    2: (-2, 3),
-    3: (-2, 3, -4),
-    4: (-2, -4),
-}
+# presentation words of the side pairings g0..g3 (see module docstring);
+# g_{k+4} = g_k^{-1}
+PAIRING_WORDS = ((1,), (-2, 3), (-2, 3, -4), (-2, -4))
 
 RELATOR: Word = (1, 2, -1, -2, 3, 4, -3, -4)
 
@@ -166,9 +162,7 @@ def bolza_preset() -> SurfaceGroup:
         if not psl_close(pair[k + 4], mat_inv(pair[k]), 1e-12):
             raise AssertionError("side pairing construction broken")
 
-    pairing_words = tuple(
-        free_reduce(_SIDE_TO_PRES[k + 1]) for k in range(4)
-    ) + tuple(free_reduce(word_inverse(_SIDE_TO_PRES[k + 1])) for k in range(4))
+    pairing_words = PAIRING_WORDS + tuple(word_inverse(w) for w in PAIRING_WORDS)
 
     a1 = pair[0]
     b1 = mat_prod(mat_inv(pair[1]), pair[2], mat_inv(pair[3]))

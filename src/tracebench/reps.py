@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RelatorViolation, SingularImage
-from .fuchsian import RELATOR, ConjugacyClass
+from .fuchsian import PAIRING_WORDS, RELATOR, ConjugacyClass
 
 _GENERATORS = ("a1", "b1", "a2", "b2")
 _RELATOR_TOL = 1e-8  # the one relator gate, in Representation
@@ -30,9 +30,13 @@ class Representation:
     numpy's default rule (`np.linalg.matrix_rank`: singular values above
     sigma_max * d * eps), so the verdict does not depend on the image's
     scale; and RelatorViolation for a `relator_residual` above
-    _RELATOR_TOL or NaN (an image whose inverse overflows).  So every
-    representation the pipeline sees has images float64 can invert and
-    satisfies [a1,b1][a2,b2] = 1.
+    _RELATOR_TOL or NaN (an image whose inverse overflows); then
+    SingularImage for an image of a side pairing g0..g3 (the words
+    `fuchsian.PAIRING_WORDS`, by which assembly glues) that is not finite
+    in float64 or is below full rank by the same rule.  So every
+    representation the pipeline sees has generator images float64 can
+    invert, pairing images of full rank in float64, and satisfies
+    [a1,b1][a2,b2] = 1.
     """
 
     images: np.ndarray  # (4, d, d) complex
@@ -72,10 +76,23 @@ class Representation:
                 "relator residual %.3e exceeds tol %.3e"
                 % (self.relator_residual, _RELATOR_TOL)
             )
+        # assembly glues by the pairing images, words in the generators,
+        # so they must pass the same gate; judged before the cast to
+        # float64, which would overflow with a warning
+        for k, w in enumerate(PAIRING_WORDS):
+            image = _word_image(self, w, np.clongdouble)
+            if not np.all(np.abs(image) <= np.finfo(float).max):
+                raise SingularImage("image of side pairing g%d is not finite "
+                                    "in float64" % k)
+            rank = np.linalg.matrix_rank(image.astype(complex))
+            if rank < self.dim:
+                raise SingularImage("image of side pairing g%d is numerically "
+                                    "singular: rank %d < %d" % (k, rank, self.dim))
 
 
-def _word_image(r: Representation, w) -> np.ndarray:
-    """Matrix product along the word; no det renormalization.
+def _word_image(r: Representation, w, dtype=complex) -> np.ndarray:
+    """Matrix product along the word, returned as `dtype`; no det
+    renormalization.
 
     GL(d) images need not have unit determinant, so unlike the PSL(2,R)
     side there is nothing to renormalize against.  Accumulation runs in
@@ -86,7 +103,7 @@ def _word_image(r: Representation, w) -> np.ndarray:
     for letter in w:
         table = r._images_ext if letter > 0 else r._images_inv
         out = out @ table[abs(letter) - 1]
-    return out.astype(complex)
+    return out.astype(dtype)
 
 
 def character_rep(z) -> Representation:

@@ -12,7 +12,7 @@ ratio bottoms out around 1e-6, so the strict test is reported as a
 diagnostic and the enforced criterion is a Weyl-law estimate of the
 discarded tail: integrate |phi| against the asymptotic eigenvalue
 density d*vol/(4pi) dlam beyond the last computed eigenvalue and demand
-the estimate stay under a relative budget (default 2%).
+the estimate stay under a fixed relative budget of 2% (_TAIL_BUDGET).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import re
 from dataclasses import dataclass
 
 from .. import TRUST_DIVISOR
@@ -143,6 +144,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not section.startswith(_TF_PREFIX):
             raise ConfigError("unknown section [%s]" % section)
         name = section[len(_TF_PREFIX):]
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", name):  # it names output files
+            raise ConfigError("[%s]: a test-function name takes only letters, "
+                              "digits, '_' and '-'" % section)
         body = cp[section]
         for key in body:
             if key not in ("T", "k"):

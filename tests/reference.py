@@ -4,9 +4,9 @@ They build checks out of the package's own pieces: the complex conjugate
 and similarity transforms of a representation, whose spectra and traces
 are known functions of the original's, the non-split extension of one
 character by another, whose spectrum and traces are the two characters'
-together, the rotation of a character
-around the octagon, which must leave both sides of the identity
-unchanged, every eigenvalue of a pencil matched to its nearest partner
+together, the symmetric square of a rank-2 representation, the rotation
+of a character around the octagon, which must leave both sides of the
+identity unchanged, every eigenvalue of a pencil matched to its nearest partner
 in another, a solved spectrum with each eigenvalue repeated by its
 multiplicity, the inverse cosine transform
 that confirms the transform convention of `tracebench.analysis`, and
@@ -75,6 +75,24 @@ def extension_rep(z1, z2, seed: int, cocycle: bool = True) -> Representation:
     if cocycle and np.any(form):
         c -= form.conj() * (form @ c) / (form @ form.conj())
     return Representation(images(c))
+
+
+def sym2(r: Representation) -> Representation:
+    """The symmetric square of a rank-2 representation: each image g acts
+    on symmetric 2x2 matrices S (quadratic forms) by S -> g S g^T, in the
+    basis E11, E12 + E21, E22.
+
+    Sym^2(-g) = Sym^2(g), so a PSL(2, R) holonomy whose relator closes to
+    -1 gives a representation whose relator closes to 1.
+    """
+    if r.dim != 2:
+        raise ValueError("sym2 needs a rank-2 representation, got d = %d" % r.dim)
+    out = []
+    for (a, b), (c, d) in r.images:
+        out.append([[a * a, 2 * a * b, b * b],
+                    [a * c, a * d + b * c, b * d],
+                    [c * c, 2 * c * d, d * d]])
+    return Representation(out)
 
 
 def pairing_values(g, r: Representation) -> list:

@@ -81,6 +81,16 @@ def test_overflowing_inverse_fails_the_relator_gate():
         character_rep((1e-320, 1, 1, 1))
 
 
+def test_pairing_images_pass_the_gate():
+    # relator residual 0, but the side pairing g2 = b1^-1 a2 b2^-1 is
+    # 1e400, past float64 (rejected before the cast, so no warning), or
+    # 1e-400, which the cast flushes to 0
+    for values, why in (((1, 1e-200, 1, 1e-200), "not finite in float64"),
+                        ((1, 1e200, 1, 1e200), "numerically singular")):
+        with pytest.raises(SingularImage, match="side pairing g2 is " + why):
+            character_rep(values)
+
+
 def test_character_basics():
     triv = character_rep((1, 1, 1, 1))
     assert triv.dim == 1 and triv.relator_residual == 0.0

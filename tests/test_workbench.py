@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import sym2
 from tracebench import TRUST_DIVISOR
 from tracebench.analysis import TestFunction
 from tracebench.errors import CacheMismatch, ConfigError
@@ -63,6 +64,14 @@ k = 2
         lambda s: s.replace("level = 4", "level = four"),
         # past the solver's trust region: 1022 free dofs at level 4
         lambda s: s.replace("count = 250", "count = 256"),
+        # test functions float64 cannot run, and a name that is no file name
+        lambda s: s.replace("T = 2.0", "T = nan"),
+        lambda s: s.replace("T = 2.0", "T = inf"),
+        lambda s: s.replace("T = 2.0", "T = 1e300"),
+        lambda s: s.replace("T = 2.0\nk = 2", "T = 2.0\nk = 1" + "0" * 400),
+        lambda s: s.replace("T = 2.0\nk = 2", "T = 2.0\nk = 2.5"),
+        lambda s: s.replace("[test_function.narrow]", "[test_function.a/b]"),
+        lambda s: s.replace("[test_function.narrow]", "[test_function.]"),
     ],
 )
 def test_config_validation(mangle):
@@ -426,6 +435,44 @@ def test_cli_zero_character_fails_at_load(tmp_path):
     assert "[representation]: image of a1 is numerically singular" in r.stderr
     assert "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_cli_overflowing_pairing_image_fails_at_load(tmp_path):
+    # the relator residual of 1, 1e-200, 1, 1e-200 is 0, but the side
+    # pairing g2 = b1^-1 a2 b2^-1 is 1e400: exit 2 at load, no warning
+    conf = tmp_path / "big.ini"
+    conf.write_text("[run]\nL_max = 3.5\nlevel = 2\ncount = 10\n\n"
+                    "[representation]\nkind = character\n"
+                    "values = 1, 1e-200, 1, 1e-200\n")
+    out = tmp_path / "out"
+    r = _run(["--config", str(conf), "--out", str(out), "verify"])
+    assert r.returncode == 2, r.stderr
+    assert "[representation]: image of side pairing g2 is not finite" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.slow
+def test_cli_verify_sym2_holonomy(group, tmp_path):
+    # Sym^2 of the holonomy (relator residual 3.1e-9) at level 4 with
+    # count N_free/4: a few roots at T = 5.5 and 7 never pass their own
+    # settle test but move by under 2.3e-15 at 512 panels, far inside
+    # 1e-12 of the batch's largest |phi|.  Measured residuals: 4.411e-2,
+    # 1.886e-2 and 3.416e-3, margins of 0.12, 0.62 and 0.93 of the gate.
+    rep = tmp_path / "sym2.json"
+    rep.write_text(_rep_json(sym2(Representation(group.generators)).images))
+    conf = tmp_path / "sym2.ini"
+    conf.write_text(
+        "[run]\nL_max = 7\nlevel = 4\ncount = 766\n\n"
+        "[representation]\nkind = file\npath = %s\n\n" % rep
+        + "".join("[test_function.%s]\nT = %s\nk = 2\n\n" % (name, T)
+                  for name, T in (("a", 4), ("b", 5.5), ("c", 7))))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(conf), "--out", str(out), "verify"]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    residuals = [e["rel_residual"] for e in report["entries"]]
+    assert len(residuals) == 3
+    assert all(res <= report["threshold"] == 0.05 for res in residuals)
 
 
 @pytest.mark.parametrize("which", ["tiny", "scaled", "far"])
