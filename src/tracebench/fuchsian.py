@@ -177,8 +177,7 @@ def bolza_preset() -> SurfaceGroup:
         pairing_words=pairing_words,
         circumradius=CIRCUMRADIUS,
     )
-    resid = np.max(np.abs(evaluate_word(g, RELATOR) - np.eye(2)))
-    resid = min(resid, np.max(np.abs(evaluate_word(g, RELATOR) + np.eye(2))))
+    resid = min(np.max(np.abs(evaluate_word(g, RELATOR) - s * np.eye(2))) for s in (1, -1))
     if resid > 1e-10:
         raise AssertionError("octagon group relator residual %.3e > 1e-10" % resid)
     # the pairing words must reproduce the pairing matrices exactly
@@ -366,10 +365,6 @@ def _side_word_of(parent: np.ndarray, letter: np.ndarray, idx: int) -> list:
     return out
 
 
-def _side_letters_to_pres(g: SurfaceGroup, side_letters) -> Word:
-    return free_reduce(l for k in side_letters for l in g.pairing_words[k])
-
-
 def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
     """Conjugate each matrix so its axis foot lands in the Dirichlet octagon.
 
@@ -413,38 +408,39 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
 
 # The canonical search filters (form, conjugator) pairs before it forms any
 # conjugate.  The axis of delta p delta^-1 is delta(axis p), so its distance
-# to the basepoint o is d(z, axis p) with z = delta^-1 o, and by
-#   sinh(d(z, p z) / 2) = cosh(d(z, axis p)) sinh(l / 2)
-# it grows with s = sinh(d(z, p z) / 2) = |beta + (alpha - conj(alpha)) z -
-# conj(beta) z^2| / (1 - |z|^2), (alpha, beta) the disk coefficients of p.
-# s needs only arithmetic on per-form and per-conjugator values, so every
-# pair gets it and only pairs whose distance lies within 0.11 plus this
-# slack of the form's minimum are conjugated.  On the conjugates the exact
-# rule keeps, the filter's distance and the rule's (on the renormalized
-# conjugate) differ by at most 2.3e-6 at L_MAX_CAP, over every pulled form
-# (test_axis_filter_gap_is_below_the_slack), so the filter drops none.
+# to the basepoint o is d(z, axis p) with z = delta^-1 o.  In the hyperboloid
+# model sinh of that distance, times sinh(l / 2), is |a linear form in z|
+# (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3; see `_axis_sinh`),
+# so one matrix product gives it for every pair, and only pairs whose
+# distance lies within 0.11 plus this slack of the form's minimum are
+# conjugated.  On the conjugates the exact rule keeps, the filter's distance
+# and the rule's (on the renormalized conjugate) differ by at most 2.5e-7 at
+# L_MAX_CAP, over every pulled form (test_axis_filter_gap_is_below_the_slack),
+# so the filter drops none.
 _FILTER_SLACK = 0.02
 
-# Forms per filter pass.  A pass holds a few (chunk, len(delta)) arrays:
-# at L_max 7 (2,217 conjugators) each is 0.57 MB of complex.  One pass over
-# all 584 forms raised the peak memory of that enumeration by 32 MB; 16 to
-# 128 forms per pass take the same time, so the smallest is used.
+# Forms per filter pass.  A pass holds one (chunk, len(delta)) float64
+# array: 0.28 MB at L_max 7 (2,217 conjugators), where the filter takes
+# 5.4 to 6.1 ms with 8 to 64 forms per pass and 7.6 ms with 128.
 _SEARCH_CHUNK = 16
 
 
 def _axis_sinh(forms: np.ndarray, delta_inv: np.ndarray):
-    """Yield (lo, s) for each chunk of _SEARCH_CHUNK forms starting at lo,
-    where s[i, j] = sinh(d(z, p z) / 2) for p = forms[lo + i] and
-    z = delta_inv[j] o, the basepoint pulled back by the j-th conjugator."""
+    """Yield (lo, g) for each chunk of _SEARCH_CHUNK forms starting at lo,
+    where g[i, j] = sinh(d(z, axis p)) sinh(l / 2) = |N . Z| for
+    p = forms[lo + i] of length l and z = delta_inv[j] o.  With (alpha,
+    beta) the disk coefficients of p, N = (Im alpha, Im beta, -Re beta) is a
+    normal of axis p of Minkowski norm sinh(l / 2); with (a, b) those of
+    delta_inv[j], Z = (|a|^2 + |b|^2, 2 Re ab, 2 Im ab) is z = b / conj(a)
+    on the hyperboloid."""
     a, b = disk_coeffs(delta_inv)
-    z = b / np.conj(a)
-    z2 = z * z
-    scale = np.abs(a) ** 2                  # 1 / (1 - |z|^2)
+    ab = a * b
+    points = np.stack([np.abs(a) ** 2 + np.abs(b) ** 2, 2.0 * ab.real, 2.0 * ab.imag])
     alpha, beta = disk_coeffs(forms)
+    normals = np.stack([alpha.imag, beta.imag, -beta.real], axis=1)
     for lo in range(0, forms.shape[0], _SEARCH_CHUNK):
-        al = alpha[lo:lo + _SEARCH_CHUNK, None]
-        be = beta[lo:lo + _SEARCH_CHUNK, None]
-        yield lo, np.abs(be + (al - np.conj(al)) * z - np.conj(be) * z2) * scale
+        g = normals[lo:lo + _SEARCH_CHUNK] @ points
+        yield lo, np.abs(g, out=g)
 
 
 def _group_min(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -467,10 +463,10 @@ def _canonical_forms(forms: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray
     """
     half = np.sinh(translation_length(forms) / 2.0)
     rows, cols = [], []
-    for lo, s in _axis_sinh(forms, delta_inv):
-        h = half[lo:lo + s.shape[0]]
-        reach = np.arccosh(np.maximum(s.min(axis=1) / h, 1.0)) + 0.11 + _FILTER_SLACK
-        r, c = np.nonzero(s <= (np.cosh(reach) * h)[:, None])
+    for lo, g in _axis_sinh(forms, delta_inv):
+        h = half[lo:lo + g.shape[0]]
+        reach = np.arcsinh(g.min(axis=1) / h) + 0.11 + _FILTER_SLACK
+        r, c = np.nonzero(g <= (np.sinh(reach) * h)[:, None])
         rows.append(r + lo)
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
@@ -567,18 +563,23 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
         w_gamma = _side_word_of(parent, letter, int(orig))
         conj = w_delta + pull_words[i]
         inv_conj = [(k + 4) % 8 for k in reversed(conj)]
-        rep_word = _side_letters_to_pres(g, conj + w_gamma + inv_conj)
-        classes[key] = (cmat, rep_word)
+        side = conj + w_gamma + inv_conj
+        classes[key] = (cmat, free_reduce(l for k in side for l in g.pairing_words[k]))
 
     # tolerance merge: rounding can split one class across adjacent cells.
     # Keys ascend; a class is dropped when it matches, up to sign and within
-    # 1e-5, a kept class at most 5 length cells below it.
+    # 1e-5, a kept class at most 5 length cells below it.  All window pairs
+    # are tested at once; only a class matching an earlier one is decided.
     keys = sorted(classes)
     cells = np.array([key[0] for key in keys])
     cmats = np.array([classes[key][0] for key in keys])
+    start = np.searchsorted(cells, cells - 5)
+    width = np.arange(cells.size) - start
+    later = np.repeat(np.arange(cells.size), width)
+    earlier = np.repeat(start - np.cumsum(width) + width, width) + np.arange(later.size)
     keep = np.ones(len(keys), dtype=bool)
-    for i, lo in enumerate(np.searchsorted(cells, cells - 5)):
-        keep[i] = not psl_close(cmats[lo:i][keep[lo:i]], cmats[i], 1e-5).any()
+    for i in np.unique(later[psl_close(cmats[earlier], cmats[later], 1e-5)]):
+        keep[i] = not psl_close(cmats[start[i]:i][keep[start[i]:i]], cmats[i], 1e-5).any()
     merged = [(keys[i],) + classes[keys[i]] for i in np.flatnonzero(keep)]
 
     # the power of a class is the largest k for which the k-th power of a

@@ -33,9 +33,9 @@ class Representation:
     _RELATOR_TOL or NaN (an image whose inverse overflows); then
     SingularImage for an image of a side pairing g0..g3 (the words
     `fuchsian.PAIRING_WORDS`, by which assembly glues) that is not finite
-    in float64 or is below full rank by the same rule.  So every
-    representation the pipeline sees has generator images float64 can
-    invert, pairing images of full rank in float64, and satisfies
+    in float64, is below full rank by the same rule, or whose float64
+    inverse is not finite.  So every representation the pipeline sees has
+    generator and pairing images float64 can invert, and satisfies
     [a1,b1][a2,b2] = 1.
     """
 
@@ -61,12 +61,8 @@ class Representation:
         # double-precision inverse (rel err ~ cond * 1e-16) leaks into the
         # trace scaled by the intermediate product magnitude
         ext = self.images.astype(np.clongdouble)
-        inv = np.stack(
-            [np.linalg.inv(m) for m in self.images]
-        ).astype(np.clongdouble)
-        eye2 = 2.0 * np.eye(self.dim, dtype=np.clongdouble)
-        for i in range(ext.shape[0]):
-            inv[i] = inv[i] @ (eye2 - ext[i] @ inv[i])  # one Newton polish
+        inv = np.linalg.inv(self.images).astype(np.clongdouble)
+        inv = inv @ (2.0 * np.eye(self.dim, dtype=np.clongdouble) - ext @ inv)  # Newton step
         object.__setattr__(self, "_images_ext", ext)
         object.__setattr__(self, "_images_inv", inv)
         residual = np.max(np.abs(_word_image(self, RELATOR) - np.eye(self.dim)))
@@ -76,18 +72,21 @@ class Representation:
                 "relator residual %.3e exceeds tol %.3e"
                 % (self.relator_residual, _RELATOR_TOL)
             )
-        # assembly glues by the pairing images, words in the generators,
-        # so they must pass the same gate; judged before the cast to
-        # float64, which would overflow with a warning
+        # assembly glues by the pairing images, words in the generators, and
+        # by their float64 inverses (`assemble._identifications`), so they
+        # must pass the same gate; judged before the cast to float64, which
+        # would overflow with a warning
         for k, w in enumerate(PAIRING_WORDS):
             image = _word_image(self, w, np.clongdouble)
             if not np.all(np.abs(image) <= np.finfo(float).max):
-                raise SingularImage("image of side pairing g%d is not finite "
-                                    "in float64" % k)
-            rank = np.linalg.matrix_rank(image.astype(complex))
+                raise SingularImage("image of side pairing g%d is not finite in float64" % k)
+            rank = np.linalg.matrix_rank(image := image.astype(complex))
             if rank < self.dim:
                 raise SingularImage("image of side pairing g%d is numerically "
                                     "singular: rank %d < %d" % (k, rank, self.dim))
+            if not np.all(np.isfinite(np.linalg.inv(image))):
+                raise SingularImage("inverse of the image of side pairing g%d "
+                                    "is not finite in float64" % k)
 
 
 def _word_image(r: Representation, w, dtype=complex) -> np.ndarray:

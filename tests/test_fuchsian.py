@@ -43,6 +43,7 @@ from tracebench.fuchsian import (
 from tracebench.hyperbolic import (
     axis_dist_to_origin,
     canonical_sign,
+    disk_coeffs,
     displacement,
     mat_inv,
     mat_prod,
@@ -534,16 +535,46 @@ def test_canonical_search_matches_full_search():
             assert np.array_equal(g, want)
 
 
+def _quadratic_sinh(forms, delta_inv):
+    """sinh(d(z, p z) / 2) = |beta + (alpha - conj(alpha)) z - conj(beta) z^2|
+    / (1 - |z|^2) over every (form p, point z = delta^-1 o) pair, from the
+    disk coefficients of p and delta^-1: the disk model's route to the axis
+    filter's quantity, the reference for the hyperboloid's linear form."""
+    a, b = disk_coeffs(delta_inv)
+    z = b / np.conj(a)
+    alpha, beta = disk_coeffs(forms)
+    al, be = alpha[:, None], beta[:, None]
+    return np.abs(be + (al - np.conj(al)) * z - np.conj(be) * z * z) * np.abs(a) ** 2
+
+
+def test_axis_sinh_satisfies_the_linear_relation():
+    # sinh(d(z, p z) / 2) = cosh(d(z, axis p)) sinh(l / 2), so the
+    # quadratic s and the linear g = sinh(d(z, axis p)) sinh(l / 2) satisfy
+    # s^2 = g^2 + sinh(l / 2)^2 on every pair the filter tests
+    pulled, _, delta_inv = _search_inputs(fuchsian.L_MAX_CAP)
+    half = np.sinh(translation_length(pulled) / 2)
+    worst = 0.0
+    for lo, g in fuchsian._axis_sinh(pulled, delta_inv):
+        forms = pulled[lo:lo + g.shape[0]]
+        s2 = _quadratic_sinh(forms, delta_inv) ** 2
+        h2 = half[lo:lo + g.shape[0], None] ** 2
+        worst = max(worst, float((np.abs(s2 - g ** 2 - h2) / s2).max()))
+    print("largest relative defect of s^2 = g^2 + h^2: %.3g, margin %.0fx to 1e-10"
+          % (worst, 1e-10 / worst))
+    assert worst <= 1e-10
+
+
 def test_axis_filter_gap_is_below_the_slack():
-    # the filter's distance d(delta^-1 o, axis p) and the exact rule's
-    # distance of the renormalized conjugate agree to far less than the
-    # slack on every conjugate the exact rule keeps, so the filter drops
-    # none of them (it keeps pairs within 0.11 + slack of its own minimum)
+    # the filter's distance d(delta^-1 o, axis p) = arcsinh(g / sinh(l / 2))
+    # and the exact rule's distance of the renormalized conjugate agree to
+    # far less than the slack on every conjugate the exact rule keeps, so
+    # the filter drops none of them (it keeps pairs within 0.11 + slack of
+    # its own minimum)
     pulled, delta, delta_inv = _search_inputs(fuchsian.L_MAX_CAP)
     half = np.sinh(translation_length(pulled) / 2)
     gap = 0.0
-    for lo, s in fuchsian._axis_sinh(pulled, delta_inv):
-        filt = np.arccosh(np.maximum(s / half[lo:lo + s.shape[0], None], 1.0))
+    for lo, g in fuchsian._axis_sinh(pulled, delta_inv):
+        filt = np.arcsinh(g / half[lo:lo + g.shape[0], None])
         for i, f in enumerate(filt):
             conj = fuchsian._conjugate(delta, pulled[lo + i], delta_inv)
             dist = axis_dist_to_origin(renormalize(conj))

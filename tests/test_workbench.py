@@ -452,6 +452,23 @@ def test_cli_overflowing_pairing_image_fails_at_load(tmp_path):
     assert not out.exists()
 
 
+def test_cli_pairing_image_without_float64_inverse_fails_at_load(tmp_path):
+    # 1, 1e160, 1, 1e150 has relator residual 0 and finite pairing images,
+    # but g2 = b1^-1 a2 b2^-1 is 1e-310, a subnormal that matrix_rank calls
+    # full rank and whose float64 inverse is nan: exit 2 at load, no warning
+    conf = tmp_path / "tiny.ini"
+    conf.write_text("[run]\nL_max = 3.5\nlevel = 2\ncount = 10\n\n"
+                    "[representation]\nkind = character\n"
+                    "values = 1, 1e160, 1, 1e150\n")
+    out = tmp_path / "out"
+    r = _run(["--config", str(conf), "--out", str(out), "verify"])
+    assert r.returncode == 2, r.stderr
+    assert ("[representation]: inverse of the image of side pairing g2 is not "
+            "finite" in r.stderr)
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.slow
 def test_cli_verify_sym2_holonomy(group, tmp_path):
     # Sym^2 of the holonomy (relator residual 3.1e-9) at level 4 with
