@@ -39,7 +39,6 @@ from .errors import (
     NotHyperbolic,
 )
 from .hyperbolic import (
-    axis_dist_to_origin,
     axis_foot,
     canonical_sign,
     disk_apply,
@@ -217,7 +216,6 @@ def evaluate_word(g: SurfaceGroup, w: Word) -> np.ndarray:
 @dataclass(frozen=True)
 class ConjugacyClass:
     rep_word: Word
-    rep_matrix: np.ndarray
     trace: float
     length: float
     power: int
@@ -406,21 +404,8 @@ def _pull_axes(mats: np.ndarray, pairings: np.ndarray):
     return cur, words
 
 
-# The canonical search filters (form, conjugator) pairs before it forms any
-# conjugate.  The axis of delta p delta^-1 is delta(axis p), so its distance
-# to the basepoint o is d(z, axis p) with z = delta^-1 o.  In the hyperboloid
-# model sinh of that distance, times sinh(l / 2), is |a linear form in z|
-# (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3; see `_axis_sinh`),
-# so one matrix product gives it for every pair, and only pairs whose
-# distance lies within 0.11 plus this slack of the form's minimum are
-# conjugated.  On the conjugates the exact rule keeps, the filter's distance
-# and the rule's (on the renormalized conjugate) differ by at most 2.5e-7 at
-# L_MAX_CAP, over every pulled form (test_axis_filter_gap_is_below_the_slack),
-# so the filter drops none.
-_FILTER_SLACK = 0.02
-
-# Forms per filter pass.  A pass holds one (chunk, len(delta)) float64
-# array: 0.28 MB at L_max 7 (2,217 conjugators), where the filter takes
+# Forms per axis-test pass.  A pass holds one (chunk, len(delta)) float64
+# array: 0.28 MB at L_max 7 (2,217 conjugators), where the test takes
 # 5.4 to 6.1 ms with 8 to 64 forms per pass and 7.6 ms with 128.
 _SEARCH_CHUNK = 16
 
@@ -443,40 +428,35 @@ def _axis_sinh(forms: np.ndarray, delta_inv: np.ndarray):
         yield lo, np.abs(g, out=g)
 
 
-def _group_min(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Minimum of x over each run of equal values in the sorted `rows`,
-    repeated across the run."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return np.repeat(np.minimum.reduceat(x, starts), np.diff(starts, append=x.size))
-
-
 def _canonical_forms(forms: np.ndarray, delta: np.ndarray, delta_inv: np.ndarray):
     """Best conjugate over the delta set of each of a batch of elements whose
     axes are near the basepoint: pulled elements, or powers of canonical
     forms.
 
-    Candidates are conjugates whose axis stays near the basepoint (within
-    0.1 of the minimum); the canonical form is the lexicographic minimum
-    of their rounded entries, the first conjugator in delta order on a tie.
-    Returns (canonical matrices, keys, index of each chosen conjugator in
-    delta).
+    The axis of delta p delta^-1 is delta(axis p), so its distance to the
+    basepoint o is d(z, axis p) with z = delta^-1 o; `_axis_sinh` gives
+    sinh of it, times sinh(l / 2), for every pair as one matrix product
+    (Ratcliffe, Foundations of Hyperbolic Manifolds, ch. 3).  The
+    candidates of a form are the conjugators within 0.1 of its least axis
+    distance, and only they are conjugated.  No pair lies near that edge:
+    at L_MAX_CAP each pair lies within 2.9e-11 of its form's least
+    distance (a tie) or at least 0.28 above it, 0.84 for the powers
+    (test_axis_distances_are_ties_or_apart).  The canonical form is the
+    lexicographic minimum of the candidates' rounded entries, the first
+    conjugator in delta order on a tie.  Returns (canonical matrices,
+    keys, index of each chosen conjugator in delta).
     """
     half = np.sinh(translation_length(forms) / 2.0)
     rows, cols = [], []
     for lo, g in _axis_sinh(forms, delta_inv):
         h = half[lo:lo + g.shape[0]]
-        reach = np.arcsinh(g.min(axis=1) / h) + 0.11 + _FILTER_SLACK
-        r, c = np.nonzero(g <= (np.sinh(reach) * h)[:, None])
+        reach = np.sinh(np.arcsinh(g.min(axis=1) / h) + 0.1) * h
+        r, c = np.nonzero(g <= reach[:, None])   # row-major: delta order per form
         rows.append(r + lo)
         cols.append(c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-
-    # the exact rule on the pairs left, form by form in delta order
     conj = _conjugate(delta[cols], forms[rows], delta_inv[cols])
     conj = canonical_sign(renormalize(conj))
-    dist = axis_dist_to_origin(conj)
-    cand = dist <= _group_min(dist, rows) + 0.1
-    rows, cols, conj = rows[cand], cols[cand], conj[cand]
     ent = _round_keys(conj)
     # lexsort is stable, so a tie goes to the first conjugator in delta order
     order = np.lexsort((ent[:, 3], ent[:, 2], ent[:, 1], ent[:, 0], rows))
@@ -606,16 +586,16 @@ def enumerate_classes(g: SurfaceGroup, L_max: float):
                     "class" % (k, ell)
                 )
 
-    out = [ConjugacyClass(w, cmat, float(trace(cmat)), float(translation_length(cmat)),
-                          power[key]) for key, cmat, w in merged]
-    out.sort(key=lambda c: (c.length, c.trace, c.rep_word))
-
-    # internal consistency: the stored word must evaluate to the stored matrix
-    ev = evaluate_words(g, [c.rep_word for c in out])
-    cm = np.array([c.rep_matrix for c in out])
+    # internal consistency: each class word must evaluate to its matrix
+    cm = cmats[keep]
+    ev = evaluate_words(g, [w for _, _, w in merged])
     tol = 1e-7 * (1.0 + np.abs(cm).max((1, 2)))
     dev = np.minimum(np.abs(ev - cm).max((1, 2)), np.abs(ev + cm).max((1, 2)))
     bad = np.flatnonzero(~(dev <= tol))
     if bad.size:
         raise ClassWordMismatch(float(dev[bad[0]]), float(tol[bad[0]]))
+
+    out = [ConjugacyClass(w, float(trace(cmat)), float(translation_length(cmat)),
+                          power[key]) for key, cmat, w in merged]
+    out.sort(key=lambda c: (c.length, c.trace, c.rep_word))
     return out

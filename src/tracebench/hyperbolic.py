@@ -134,18 +134,6 @@ def translation_length(m: np.ndarray):
     return 2.0 * np.arccosh(np.maximum(half, 1.0))
 
 
-def axis_dist_to_origin(m: np.ndarray):
-    """Distance from the basepoint (disk center) to the translation axis.
-
-    Uses sinh(d(0, m.0)/2) = cosh(dist) * sinh(l/2), which needs no axis
-    endpoints and vectorizes cheaply.  Arguments are clipped at 1 from
-    below to absorb rounding on elements whose axis passes through 0.
-    """
-    ell = translation_length(m)
-    arg = np.sinh(displacement(m) / 2.0) / np.sinh(ell / 2.0)
-    return np.arccosh(np.maximum(arg, 1.0))
-
-
 def axis_endpoints(m: np.ndarray):
     """Attracting/repelling fixed points on the unit circle (disk model).
 

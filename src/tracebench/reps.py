@@ -128,7 +128,7 @@ def unitarity_defect(r: Representation) -> float:
 def rep_from_json(obj) -> Representation:
     """Build a representation from the JSON input format: exactly
     {"dim": d, "images": [...]}, d a JSON integer >= 1 and four images of
-    row-major [re, im] pairs.
+    row-major [re, im] pairs of JSON numbers.
     """
     if not isinstance(obj, dict) or set(obj) != {"dim", "images"}:
         raise ValueError('expected exactly the keys "dim" and "images"')
@@ -137,8 +137,11 @@ def rep_from_json(obj) -> Representation:
         raise ValueError('"dim" must be an integer >= 1, got %r' % (d,))
     images = []
     for flat in obj["images"]:
-        m = np.array(
-            [complex(re, im) for re, im in flat], dtype=complex
-        ).reshape(d, d)
-        images.append(m)
+        entries = []
+        for re, im in flat:
+            if not {type(re), type(im)} <= {int, float}:  # a bool is an int, not a number
+                raise ValueError("image entries must be JSON numbers, got %r"
+                                 % ([re, im],))
+            entries.append(complex(re, im))
+        images.append(np.array(entries).reshape(d, d))
     return Representation(images)

@@ -57,21 +57,11 @@ def _class_rows(classes):
                serialize_word(c.rep_word))
 
 
-def _classes_from_rows(g, rows):
-    from ..fuchsian import ConjugacyClass, evaluate_words, parse_word
+def _classes_from_rows(rows):
+    from ..fuchsian import ConjugacyClass, parse_word
 
-    words = [parse_word(row[4]) for row in rows]
-    return [
-        ConjugacyClass(
-            rep_word=w,
-            rep_matrix=m,
-            trace=float(trace_s),
-            length=float(length_s),
-            power=int(power_s),
-        )
-        for (length_s, trace_s, power_s, _, _), w, m
-        in zip(rows, words, evaluate_words(g, words))
-    ]
+    return [ConjugacyClass(parse_word(w), float(tr), float(ell), int(power))
+            for ell, tr, power, _, w in rows]
 
 
 def _lengths_cache_fields(cfg):
@@ -96,7 +86,7 @@ def _ensure_classes(cfg, g, refresh: bool):
         state = io.cache_state(path, expect)  # raises CacheMismatch on rot
         if state == "fresh":
             _, rows = io.read_csv(path)
-            return _classes_from_rows(g, rows), path
+            return _classes_from_rows(rows), path
     classes = enumerate_classes(g, cfg.L_max)
     io.write_csv(
         path,

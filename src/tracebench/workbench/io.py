@@ -78,11 +78,13 @@ def cache_state(payload_path: str, expect: dict) -> str:
     mp = meta_path(payload_path)
     if not (os.path.exists(payload_path) and os.path.exists(mp)):
         return "absent"
-    with open(mp) as fh:
-        try:
+    try:
+        with open(mp) as fh:
             meta = json.load(fh)
-        except json.JSONDecodeError:
-            raise CacheMismatch("unreadable cache sidecar %s" % mp)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise CacheMismatch("unreadable cache sidecar %s" % mp)
     if meta.get("sha256") != sha256_of(payload_path):
         raise CacheMismatch("checksum mismatch for %s" % payload_path)
     for key, val in expect.items():

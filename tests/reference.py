@@ -9,7 +9,10 @@ of a character around the octagon, which must leave both sides of the
 identity unchanged, every eigenvalue of a pencil matched to its nearest partner
 in another, a solved spectrum with each eigenvalue repeated by its
 multiplicity, the inverse cosine transform
-that confirms the transform convention of `tracebench.analysis`, and
+that confirms the transform convention of `tracebench.analysis`, the
+distance from the basepoint to an element's axis by its displacement (the
+full canonical search's rule, against which the package's one-product
+axis test is checked), and
 plain forms that the package's batched, in-place or pruned ones must
 match bit for bit: a word product letter by letter, the copying dense
 eigensolve, the pencil residuals in complex arithmetic, and the element
@@ -23,7 +26,13 @@ import scipy.linalg as sla
 from tracebench.analysis import _SQRT_2PI, TestFunction, _gauss_nodes, _phi_many
 from tracebench.errors import QuadratureNotConverged, SingularImage
 from tracebench.fuchsian import RELATOR
-from tracebench.hyperbolic import canonical_sign, displacement, mat_inv, renormalize
+from tracebench.hyperbolic import (
+    canonical_sign,
+    displacement,
+    mat_inv,
+    renormalize,
+    translation_length,
+)
 from tracebench.reps import Representation, _word_image, character_rep
 
 _COND_CEIL = 1e12
@@ -188,6 +197,18 @@ def fourier_roundtrip(f: TestFunction) -> float:
     else:
         raise QuadratureNotConverged("roundtrip tail did not settle")
     return float(np.max(np.abs(total - f.hat(tgrid))))
+
+
+def axis_dist_to_origin(m: np.ndarray):
+    """Distance from the basepoint (disk center) to the translation axis.
+
+    Uses sinh(d(0, m.0)/2) = cosh(dist) * sinh(l/2), which needs no axis
+    endpoints and vectorizes cheaply.  Arguments are clipped at 1 from
+    below to absorb rounding on elements whose axis passes through 0.
+    """
+    ell = translation_length(m)
+    arg = np.sinh(displacement(m) / 2.0) / np.sinh(ell / 2.0)
+    return np.arccosh(np.maximum(arg, 1.0))
 
 
 def evaluate_word_by_letter(g, w) -> np.ndarray:

@@ -41,7 +41,6 @@ from tracebench.fuchsian import (
     word_inverse,
 )
 from tracebench.hyperbolic import (
-    axis_dist_to_origin,
     canonical_sign,
     disk_coeffs,
     displacement,
@@ -54,7 +53,7 @@ from tracebench.hyperbolic import (
 )
 from tracebench.reps import character_rep, trace_on_class
 
-from reference import bfs_ball_every_child, evaluate_word_by_letter
+from reference import axis_dist_to_origin, bfs_ball_every_child, evaluate_word_by_letter
 
 # --- closed-form octagon constants, derived here from scratch ---
 # regular hyperbolic octagon with vertex angle 2*pi/8: the right triangle
@@ -133,7 +132,7 @@ def test_classes_sorted_and_consistent(classes_L6, group):
     assert lengths == sorted(lengths)
     for c in classes_L6[::7]:
         img = evaluate_word(group, c.rep_word)
-        assert psl_close(img, c.rep_matrix, 1e-7)
+        assert abs(trace(img)) == pytest.approx(abs(c.trace), rel=1e-9)
         assert c.length == pytest.approx(
             2 * np.arccosh(abs(c.trace) / 2), rel=1e-12
         )
@@ -193,16 +192,12 @@ def test_tolerance_merge_at_the_cap(group):
     # L_max 6 and 7); test_forced_split_is_merged makes it fire.
     classes = enumerate_classes(group, fuchsian.L_MAX_CAP)
     assert len(classes) == 264
+    mats = fuchsian.evaluate_words(group, [c.rep_word for c in classes])
     for i, a in enumerate(classes):
-        for b in classes[i + 1:]:
-            if b.length - a.length > 5e-6:
+        for j in range(i + 1, len(classes)):
+            if classes[j].length - a.length > 5e-6:
                 break
-            assert not psl_close(a.rep_matrix, b.rep_matrix, 1e-5)
-
-
-def _fields(classes):
-    return [(c.rep_word, c.rep_matrix.tobytes(), c.trace, c.length, c.power)
-            for c in classes]
+            assert not psl_close(mats[i], mats[j], 1e-5)
 
 
 def test_forced_split_is_merged(group, classes_L62, monkeypatch):
@@ -224,7 +219,7 @@ def test_forced_split_is_merged(group, classes_L62, monkeypatch):
     monkeypatch.setattr(fuchsian, "_canonical_forms", split_once)
     got = enumerate_classes(group, 6.2)
     assert len(moved) == 1
-    assert _fields(got) == _fields(classes_L62)
+    assert got == classes_L62
 
 
 def test_missing_power_raises(group, monkeypatch):
@@ -267,8 +262,8 @@ def test_word_check_exits_3_from_cli(group, monkeypatch, tmp_path, capsys):
 
 
 def test_batched_words_match_letter_by_letter(group):
-    # the word check and the warm lengths.csv read evaluate every class
-    # word in one batch; each product must be the one-word product's bits
+    # the word check evaluates every class word in one batch; each product
+    # must be the one-word product's bits
     words = [c.rep_word for c in enumerate_classes(group, 7.0)]
     words += [(), RELATOR] + list(group.pairing_words)
     ev = fuchsian.evaluate_words(group, words)
@@ -435,9 +430,9 @@ def test_ball_skips_only_back_steps(group, L, radius, backs, monkeypatch):
         assert np.array_equal(got, w)
 
     monkeypatch.setattr(fuchsian, "_bfs_ball", lambda p, r: bfs_ball(p, radius))
-    classes = _fields(enumerate_classes(group, L))
+    classes = enumerate_classes(group, L)
     monkeypatch.setattr(fuchsian, "_bfs_ball", lambda p, r: bfs_ball_every_child(p, radius))
-    assert _fields(enumerate_classes(group, L)) == classes
+    assert enumerate_classes(group, L) == classes
 
 
 @pytest.mark.parametrize("L", [4.0, 5.85, 6.0, 7.0, fuchsian.L_MAX_CAP])
@@ -446,11 +441,11 @@ def test_ball_radius_keeps_the_class_tables(group, L, monkeypatch):
     # ball order, which can lie past the displacement bound; the bound's
     # 0.5 slack keeps every field of every class what the triangle radius
     # gives.  With a slack of 0.2, L_max 5.85 gives other words
-    classes = _fields(enumerate_classes(group, L))
+    classes = enumerate_classes(group, L)
     bfs_ball = fuchsian._bfs_ball
     monkeypatch.setattr(fuchsian, "_bfs_ball",
                         lambda p, r: bfs_ball(p, _triangle_radius(group, L)))
-    assert _fields(enumerate_classes(group, L)) == classes
+    assert enumerate_classes(group, L) == classes
 
 
 def _reference_canonical(pulled, delta, delta_inv):
@@ -519,18 +514,44 @@ def test_pulled_forms_lie_within_the_displacement_bound(group, L):
     assert axis_dist_to_origin(pulled).max() == pytest.approx(R, abs=1e-9)
 
 
-@pytest.mark.slow
-def test_canonical_search_matches_full_search():
-    # the search conjugates only the pairs its axis filter keeps; it must
+@functools.lru_cache(maxsize=2)
+def _canonical_inputs(L):
+    """The arguments of each `_canonical_forms` call that
+    `enumerate_classes` makes at cutoff L: the deduped pulled forms, then
+    the powers of the canonical forms, each with the conjugators and their
+    inverses."""
+    calls = []
+    canon = fuchsian._canonical_forms
+
+    def record(forms, delta, delta_inv):
+        calls.append((forms, delta, delta_inv))
+        return canon(forms, delta, delta_inv)
+
+    fuchsian._canonical_forms = record
+    try:
+        enumerate_classes(bolza_preset(), L)
+    finally:
+        fuchsian._canonical_forms = canon
+    return calls
+
+
+@pytest.mark.parametrize("L, forms", [
+    (6.2, 1256),
+    pytest.param(fuchsian.L_MAX_CAP, 3400, marks=pytest.mark.slow),
+])
+def test_canonical_search_matches_full_search(L, forms):
+    # the search conjugates only the pairs its axis test keeps; it must
     # pick the same conjugator, and the same bits, as renormalizing every
-    # conjugate
-    for L, forms in [(6.0, 1008), (fuchsian.L_MAX_CAP, 3400)]:
-        pulled, delta, delta_inv = _search_inputs(L)
-        assert pulled.shape[0] == forms
-        got, keys, idx = fuchsian._canonical_forms(pulled, delta, delta_inv)
-        assert len(keys) == idx.size == forms
-        for p, g, gi in zip(pulled, got, idx):
-            want, wi = _reference_canonical(p, delta, delta_inv)
+    # conjugate, for the pulled forms and for the powers of the classes
+    pulled, delta, delta_inv = _search_inputs(L)
+    assert pulled.shape[0] == forms
+    _, powers = _canonical_inputs(L)
+    assert powers[0].shape[0] == 24
+    for batch, dl, dl_inv in [(pulled, delta, delta_inv), powers]:
+        got, keys, idx = fuchsian._canonical_forms(batch, dl, dl_inv)
+        assert len(keys) == idx.size == batch.shape[0]
+        for p, g, gi in zip(batch, got, idx):
+            want, wi = _reference_canonical(p, dl, dl_inv)
             assert gi == wi
             assert np.array_equal(g, want)
 
@@ -564,25 +585,24 @@ def test_axis_sinh_satisfies_the_linear_relation():
     assert worst <= 1e-10
 
 
-def test_axis_filter_gap_is_below_the_slack():
-    # the filter's distance d(delta^-1 o, axis p) = arcsinh(g / sinh(l / 2))
-    # and the exact rule's distance of the renormalized conjugate agree to
-    # far less than the slack on every conjugate the exact rule keeps, so
-    # the filter drops none of them (it keeps pairs within 0.11 + slack of
-    # its own minimum)
-    pulled, delta, delta_inv = _search_inputs(fuchsian.L_MAX_CAP)
-    half = np.sinh(translation_length(pulled) / 2)
-    gap = 0.0
-    for lo, g in fuchsian._axis_sinh(pulled, delta_inv):
-        filt = np.arcsinh(g / half[lo:lo + g.shape[0], None])
-        for i, f in enumerate(filt):
-            conj = fuchsian._conjugate(delta, pulled[lo + i], delta_inv)
-            dist = axis_dist_to_origin(renormalize(conj))
-            near = dist <= dist.min() + 0.11
-            gap = max(gap, float(np.abs(f[near] - dist[near]).max()))
-    print("axis filter gap %.3g, slack %g, margin %.0fx"
-          % (gap, fuchsian._FILTER_SLACK, fuchsian._FILTER_SLACK / gap))
-    assert gap <= fuchsian._FILTER_SLACK / 100
+def test_axis_distances_are_ties_or_apart():
+    # the canonical search keeps the conjugators within 0.1 of a form's
+    # least axis distance arcsinh(g / sinh(l / 2)).  At the cap every pair
+    # of both batches it searches lies within 1e-9 of that least distance
+    # (a tie) or at least 0.2 above it, so the window decides no pair by a
+    # rounding error
+    tie, gap = 0.0, np.inf
+    for forms, _, delta_inv in _canonical_inputs(fuchsian.L_MAX_CAP):
+        half = np.sinh(translation_length(forms) / 2)
+        for lo, g in fuchsian._axis_sinh(forms, delta_inv):
+            dist = np.arcsinh(g / half[lo:lo + g.shape[0], None])
+            above = dist - dist.min(axis=1, keepdims=True)
+            near = above <= 1e-9
+            tie = max(tie, float(above[near].max()))
+            gap = min(gap, float(above[~near].min()))
+    print("widest tie %.3g (margin %.0fx to 1e-9), least gap %.4f (margin %.2fx to 0.2)"
+          % (tie, 1e-9 / max(tie, 1e-300), gap, gap / 0.2))
+    assert gap >= 0.2
 
 
 def test_key_set_keeps_first_occurrences():

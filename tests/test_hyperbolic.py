@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebench.hyperbolic import (
-    axis_dist_to_origin,
     axis_endpoints,
     axis_foot,
     canonical_sign,
@@ -21,6 +20,8 @@ from tracebench.hyperbolic import (
     trace,
     translation_length,
 )
+
+from reference import axis_dist_to_origin
 
 
 def random_psl2r(rng, n=1, scale=1.0):

@@ -218,6 +218,9 @@ def test_rep_from_json(classes_L6):
         {"dim": 2.5, "images": [eye_flat] * 4},
         {"dim": "2", "images": [eye_flat] * 4},
         {"dim": True, "images": [[[1.0, 0.0]]] * 4},
+        # and the entries are JSON numbers, never bools
+        {"dim": 1, "images": [[[True, False]]] * 4},
+        {"dim": 1, "images": [[[1.0, 0.0]]] * 3 + [[[1, False]]]},
         {"dim": 0, "images": [[]] * 4},
     ):
         with pytest.raises(ValueError):
